@@ -1,5 +1,5 @@
 // Section 6.3 — Insert overhead of referential-integrity checking and of
-// the matching-dependency tid lookup, as a google-benchmark microbenchmark.
+// the matching-dependency tid lookup, as a fixed-iteration microbenchmark.
 //
 // Paper result: inserting an Item row without any checks takes about 50% of
 // the time of an insert with referential-integrity checks; the additional
@@ -7,7 +7,6 @@
 // the RI check, which this implementation does: one primary-key probe
 // serves both).
 
-#include "benchmark/benchmark.h"
 #include "bench/harness.h"
 
 namespace aggcache {
@@ -33,87 +32,34 @@ struct Fixture {
   int64_t next_item_id = 100000000;
 };
 
-void InsertItems(::benchmark::State& state, const InsertOptions& options) {
-  Fixture fixture(static_cast<size_t>(state.range(0)));
+/// Times `iterations` single-row Item inserts, each in its own
+/// transaction, on a fresh fixture (whose setup is not timed); returns
+/// wall-clock nanoseconds per inserted item.
+double InsertNsPerItem(size_t num_headers, int64_t iterations,
+                       const InsertOptions& options) {
+  Fixture fixture(num_headers);
   Table* item = fixture.dataset->item();
   Rng rng(5);
   int64_t max_header = static_cast<int64_t>(fixture.num_headers_loaded);
-  for (auto _ : state) {
+  Stopwatch watch;
+  for (int64_t i = 0; i < iterations; ++i) {
     Transaction txn = fixture.db.Begin();
-    Status status = item->Insert(
-        txn,
-        {Value(fixture.next_item_id++), Value(rng.UniformInt(1, max_header)),
-         Value(int64_t{1}), Value(10.0), Value(int64_t{1})},
-        options);
-    if (!status.ok()) state.SkipWithError(status.ToString().c_str());
+    CheckOk(item->Insert(txn,
+                         {Value(fixture.next_item_id++),
+                          Value(rng.UniformInt(1, max_header)),
+                          Value(int64_t{1}), Value(10.0), Value(int64_t{1})},
+                         options),
+            "item insert");
   }
-  state.SetItemsProcessed(state.iterations());
+  return static_cast<double>(watch.ElapsedNanos()) /
+         static_cast<double>(iterations);
 }
 
-void BM_InsertNoChecks(::benchmark::State& state) {
+InsertOptions MakeOptions(bool ri_check, bool tid_lookup) {
   InsertOptions options;
-  options.check_referential_integrity = false;
-  options.maintain_tid_columns = false;
-  InsertItems(state, options);
-}
-
-void BM_InsertWithRiCheck(::benchmark::State& state) {
-  InsertOptions options;
-  options.check_referential_integrity = true;
-  options.maintain_tid_columns = false;
-  InsertItems(state, options);
-}
-
-void BM_InsertWithRiCheckAndTidLookup(::benchmark::State& state) {
-  InsertOptions options;  // Both enabled: the production path.
-  InsertItems(state, options);
-}
-
-/// Console output as usual, plus every finished run lands in the
-/// BenchReport as a scalar sample (ns per inserted item).
-class CaptureReporter : public ::benchmark::ConsoleReporter {
- public:
-  explicit CaptureReporter(BenchContext* ctx) : ctx_(ctx) {}
-
-  void ReportRuns(const std::vector<Run>& reports) override {
-    for (const Run& run : reports) {
-      if (run.error_occurred || run.iterations == 0) continue;
-      double ns_per_item = run.real_accumulated_time /
-                           static_cast<double>(run.iterations) * 1e9;
-      ctx_->report().AddScalar("insert_ns_per_item",
-                               {{"case", run.benchmark_name()}}, ns_per_item,
-                               "ns");
-    }
-    ConsoleReporter::ReportRuns(reports);
-  }
-
- private:
-  BenchContext* ctx_;
-};
-
-void RegisterCases(BenchContext& ctx) {
-  // Registered at runtime (not via the BENCHMARK macro) so quick mode can
-  // shrink both the preloaded header population and the fixed iteration
-  // count; a fixed count keeps google-benchmark to a single measurement
-  // pass per case (fixture setup loads the full header table each pass).
-  const int64_t iterations = ctx.QuickOr<int64_t>(5000, 50000);
-  const std::vector<int64_t> header_counts =
-      ctx.quick() ? std::vector<int64_t>{10000}
-                  : std::vector<int64_t>{10000, 100000};
-  ctx.report().SetConfig("iterations", iterations);
-  struct Case {
-    const char* name;
-    void (*fn)(::benchmark::State&);
-  };
-  for (const Case& c :
-       {Case{"BM_InsertNoChecks", BM_InsertNoChecks},
-        Case{"BM_InsertWithRiCheck", BM_InsertWithRiCheck},
-        Case{"BM_InsertWithRiCheckAndTidLookup",
-             BM_InsertWithRiCheckAndTidLookup}}) {
-    auto* bench = ::benchmark::RegisterBenchmark(c.name, c.fn);
-    for (int64_t headers : header_counts) bench->Arg(headers);
-    bench->Iterations(iterations);
-  }
+  options.check_referential_integrity = ri_check;
+  options.maintain_tid_columns = tid_lookup;
+  return options;
 }
 
 }  // namespace
@@ -121,26 +67,46 @@ void RegisterCases(BenchContext& ctx) {
 }  // namespace aggcache
 
 int main(int argc, char** argv) {
-  aggcache::bench::PrintBanner(
+  using namespace aggcache;
+  using namespace aggcache::bench;
+  PrintBanner(
       "Section 6.3", "item insert overhead (RI check + MD tid lookup)",
       "no-checks insert ~50% of insert with RI checks; tid lookup adds "
       "20-30% of the RI-check time, shared with the RI probe");
-  aggcache::BenchContext ctx(argc, argv, "sec63_insert_overhead");
-  aggcache::bench::RegisterCases(ctx);
-  // Hide the harness flags from google-benchmark's parser, which rejects
-  // any unrecognized --flag.
-  std::vector<char*> bench_argv;
-  for (int i = 0; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--json" || arg.rfind("--json=", 0) == 0 || arg == "--quick") {
-      continue;
+  BenchContext ctx(argc, argv, "sec63_insert_overhead");
+  // One fixed-count timed pass per (case, header count); fixture setup
+  // loads the full header table, so it stays outside the timed loop.
+  const int64_t iterations = ctx.QuickOr<int64_t>(5000, 50000);
+  const std::vector<int64_t> header_counts =
+      ctx.quick() ? std::vector<int64_t>{10000}
+                  : std::vector<int64_t>{10000, 100000};
+  ctx.report().SetConfig("iterations", iterations);
+  struct Case {
+    const char* name;
+    InsertOptions options;
+  };
+  const Case cases[] = {
+      {"BM_InsertNoChecks", MakeOptions(false, false)},
+      {"BM_InsertWithRiCheck", MakeOptions(true, false)},
+      // Both enabled: the production path.
+      {"BM_InsertWithRiCheckAndTidLookup", MakeOptions(true, true)},
+  };
+  ResultTable table({"case", "ns/item"});
+  for (const Case& c : cases) {
+    for (int64_t headers : header_counts) {
+      double ns_per_item = InsertNsPerItem(static_cast<size_t>(headers),
+                                           iterations, c.options);
+      // Case labels keep the "<name>/<arg>/iterations:<n>" form of the
+      // committed baseline so bench_diff matches samples across versions.
+      std::string label =
+          StrFormat("%s/%lld/iterations:%lld", c.name,
+                    static_cast<long long>(headers),
+                    static_cast<long long>(iterations));
+      ctx.report().AddScalar("insert_ns_per_item", {{"case", label}},
+                             ns_per_item, "ns");
+      table.AddRow({label, StrFormat("%.1f", ns_per_item)});
     }
-    bench_argv.push_back(argv[i]);
   }
-  int bench_argc = static_cast<int>(bench_argv.size());
-  ::benchmark::Initialize(&bench_argc, bench_argv.data());
-  aggcache::bench::CaptureReporter reporter(&ctx);
-  ::benchmark::RunSpecifiedBenchmarks(&reporter);
-  ::benchmark::Shutdown();
+  table.Print();
   return ctx.Finish() ? 0 : 1;
 }

@@ -28,8 +28,6 @@ foreach(target ${AGGCACHE_BENCH_TARGETS})
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endforeach()
 
-target_link_libraries(bench_sec63_insert_overhead PRIVATE benchmark::benchmark)
-
 # Differential correctness harness (src/verify): not a benchmark, but a
 # runnable tool shipped next to them. See bench/verify_fuzz.cpp for usage.
 add_executable(verify_fuzz bench/verify_fuzz.cpp)

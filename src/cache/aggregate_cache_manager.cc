@@ -6,6 +6,7 @@
 #include <iostream>
 #include <optional>
 #include <shared_mutex>
+#include <span>
 #include <utility>
 
 #include "common/logging.h"
@@ -16,6 +17,7 @@
 #include "obs/engine_metrics.h"
 #include "obs/flight_recorder.h"
 #include "obs/perf_counters.h"
+#include "obs/phase_scope.h"
 #include "obs/slow_log.h"
 #include "obs/span.h"
 #include "obs/trace_recorder.h"
@@ -67,17 +69,21 @@ bool QueryUsesTable(const AggregateQuery& query, const Table& table) {
   return false;
 }
 
-void AppendJsonEscapedTo(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      *out += '\\';
-      *out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      *out += StrFormat("\\u%04x", c);
-    } else {
-      *out += c;
+/// True when `snapshot` sees the creation of every main row of the bound
+/// tables — false for a reader that began before the merge that moved some
+/// of them.
+bool SeesEveryMainRow(const BoundQuery& bound, const Snapshot& snapshot) {
+  for (const Table* table : bound.tables) {
+    for (size_t g = 0; g < table->num_groups(); ++g) {
+      std::span<const Tid> tids = table->group(g).main.create_tids();
+      if (!std::all_of(tids.begin(), tids.end(), [&snapshot](Tid tid) {
+            return snapshot.TidStable(tid);
+          })) {
+        return false;
+      }
     }
   }
+  return true;
 }
 
 void AppendPerfJson(std::string* out, const PerfDelta& delta) {
@@ -110,9 +116,9 @@ std::string BuildSlowQueryRecord(const std::string& statement,
       "{\"t_unix_ms\":%lld,\"elapsed_ms\":%.3f,\"strategy\":\"%s\","
       "\"statement\":\"",
       static_cast<long long>(t_unix_ms), elapsed_ms, strategy);
-  AppendJsonEscapedTo(&out, statement);
+  AppendJsonEscaped(&out, statement);
   out += "\",\"status\":\"";
-  AppendJsonEscapedTo(&out, status.ok() ? "ok" : status.message());
+  AppendJsonEscaped(&out, status.ok() ? "ok" : status.message());
   out += StrFormat(
       "\",\"governance\":{\"admission_wait_us\":%llu,"
       "\"mem_peak_bytes\":%zu,\"rows_scanned\":%llu,\"abort\":\"%s\"}",
@@ -148,7 +154,7 @@ std::string BuildSlowQueryRecord(const std::string& statement,
           static_cast<unsigned long long>(span.dur_us),
           static_cast<unsigned long long>(span.span_id),
           static_cast<unsigned long long>(span.parent_id));
-      AppendJsonEscapedTo(&out, span.detail);
+      AppendJsonEscaped(&out, span.detail);
       out += "\"}";
     }
     out += "]";
@@ -339,11 +345,7 @@ Status AggregateCacheManager::RebuildEntry(CacheEntry& entry,
                                            Snapshot snapshot) {
   RETURN_IF_ERROR(FaultInjector::Global().MaybeFail("cache.build"));
   EngineMetrics::Get().cache_rebuilds->Increment();
-  ScopedSpan build_span(SpanKind::kEntryBuild);
-  PerfPhaseRegion build_perf(SpanKindToString(SpanKind::kEntryBuild),
-                             &build_span);
-  ActiveQueryGuard::CurrentSetPhase(SpanKindToString(SpanKind::kEntryBuild));
-  Stopwatch watch;
+  PhaseScope phase(SpanKind::kEntryBuild, EngineMetrics::Get().cache_build_us);
   entry.main_partials().clear();
   // Cross-temperature all-main combos can be pruned logically at build time
   // (Section 5.4); tid-range pruning is sound here as well. Prune decisions
@@ -397,13 +399,19 @@ Status AggregateCacheManager::RebuildEntry(CacheEntry& entry,
   }
   RefreshSnapshots(entry, bound, snapshot);
   RefreshEntrySize(entry);
-  entry.metrics().main_exec_ms = watch.ElapsedMillis();
   entry.metrics().main_rows_aggregated = rows_aggregated;
-  CacheEntryMetrics::Ewma(entry.metrics().ewma_rebuild_ms,
-                          watch.ElapsedMillis());
-  entry.ClearRebuildMark();
-  EngineMetrics::Get().cache_build_us->Observe(
-      static_cast<uint64_t>(watch.ElapsedNanos() / 1000));
+  const double build_ms = phase.EndMillis();
+  entry.metrics().main_exec_ms = build_ms;
+  CacheEntryMetrics::Ewma(entry.metrics().ewma_rebuild_ms, build_ms);
+  // A snapshot older than some main rows (a reader that began before the
+  // merge that moved them) builds partials that never count those rows,
+  // although every later reader sees them: the value is right for this
+  // snapshot only, so no other reader may use it.
+  if (SeesEveryMainRow(bound, snapshot)) {
+    entry.ClearRebuildMark();
+  } else {
+    entry.MarkForRebuild();
+  }
   return Status::Ok();
 }
 
@@ -506,6 +514,14 @@ StatusOr<std::shared_ptr<CacheEntry>> AggregateCacheManager::GetOrCreateEntry(
       stats->entry_created = true;
       stats->main_exec_ms = entry->metrics().main_exec_ms;
     }
+    if (entry->needs_rebuild()) {
+      // Built at a snapshot older than some main rows (see RebuildEntry):
+      // this caller answers from the value, but it is never published.
+      RemoveEntry(entry);
+      entry->ClearRebuildMark();
+      entry->SetState(EntryState::kEvicted);
+      return entry;
+    }
 
     // Warm restart: a descriptor recovered from the last checkpoint proves
     // this aggregate earned its place before the restart, so it bypasses
@@ -570,60 +586,48 @@ Status AggregateCacheManager::MainCompensate(CacheEntry& entry,
                                              Snapshot snapshot,
                                              CacheExecStats* stats) {
   if (!entry.IsDirty(bound.tables)) return Status::Ok();
-  ScopedSpan comp_span(SpanKind::kMainCorrection);
-  PerfPhaseRegion comp_perf(SpanKindToString(SpanKind::kMainCorrection),
-                            &comp_span);
-  ActiveQueryGuard::CurrentSetPhase(
-      SpanKindToString(SpanKind::kMainCorrection));
-  Stopwatch watch;
-  auto observe_latency = [&watch] {
-    EngineMetrics::Get().cache_main_comp_us->Observe(
-        static_cast<uint64_t>(watch.ElapsedNanos() / 1000));
-  };
+  PhaseScope phase(SpanKind::kMainCorrection,
+                   EngineMetrics::Get().cache_main_comp_us);
   if (bound.tables.size() > 1) {
     if (config_.incremental_join_main_compensation) {
       RETURN_IF_ERROR(JoinMainCompensate(entry, bound, snapshot));
-      if (stats != nullptr) stats->main_comp_ms += watch.ElapsedMillis();
     } else {
       // The paper's baseline behaviour: recompute the entry.
       RETURN_IF_ERROR(RebuildEntry(entry, bound, snapshot));
       if (stats != nullptr) {
         stats->entry_rebuilt = true;
         stats->main_exec_ms = entry.metrics().main_exec_ms;
-        stats->main_comp_ms += watch.ElapsedMillis();
       }
     }
-    observe_latency();
-    return Status::Ok();
-  }
-
-  // Single-table entry: bit-vector comparison finds rows invalidated since
-  // the snapshot; subtract their contribution (Section 2.2).
-  const Table& table = *bound.tables[0];
-  for (size_t g = 0; g < table.num_groups(); ++g) {
-    const Partition& main = table.group(g).main;
-    CacheEntry::MainSnapshot& snap = entry.snapshots()[0][g];
-    if (main.invalidation_count() == snap.invalidation_count) continue;
-    BitVector current = ConsistentViewManager::ComputeVisibility(
-        main.create_tids(), main.invalidate_tids(), snapshot);
-    std::vector<uint32_t> invalidated =
-        snap.visibility.OnesClearedIn(current);
-    ASSIGN_OR_RETURN(AggregateResult contribution,
-                     ComputeRowsContribution(bound, g, invalidated));
-    SubjoinCombination combo{
-        PartitionRef{static_cast<uint32_t>(g), PartitionKind::kMain}};
-    auto it = entry.main_partials().find(combo);
-    if (it == entry.main_partials().end()) {
-      return Status::Internal("missing main partial for group");
+  } else {
+    // Single-table entry: bit-vector comparison finds rows invalidated
+    // since the snapshot; subtract their contribution (Section 2.2).
+    const Table& table = *bound.tables[0];
+    for (size_t g = 0; g < table.num_groups(); ++g) {
+      const Partition& main = table.group(g).main;
+      CacheEntry::MainSnapshot& snap = entry.snapshots()[0][g];
+      if (main.invalidation_count() == snap.invalidation_count) continue;
+      BitVector current = ConsistentViewManager::ComputeVisibility(
+          main.create_tids(), main.invalidate_tids(), snapshot);
+      std::vector<uint32_t> invalidated =
+          snap.visibility.OnesClearedIn(current);
+      ASSIGN_OR_RETURN(AggregateResult contribution,
+                       ComputeRowsContribution(bound, g, invalidated));
+      SubjoinCombination combo{
+          PartitionRef{static_cast<uint32_t>(g), PartitionKind::kMain}};
+      auto it = entry.main_partials().find(combo);
+      if (it == entry.main_partials().end()) {
+        return Status::Internal("missing main partial for group");
+      }
+      RETURN_IF_ERROR(it->second.SubtractFrom(contribution));
+      snap.visibility = std::move(current);
+      snap.invalidation_count = main.invalidation_count();
     }
-    RETURN_IF_ERROR(it->second.SubtractFrom(contribution));
-    snap.visibility = std::move(current);
-    snap.invalidation_count = main.invalidation_count();
+    entry.set_base_tid(snapshot.read_tid);
+    RefreshEntrySize(entry);
   }
-  entry.set_base_tid(snapshot.read_tid);
-  RefreshEntrySize(entry);
-  if (stats != nullptr) stats->main_comp_ms += watch.ElapsedMillis();
-  observe_latency();
+  const double comp_ms = phase.EndMillis();
+  if (stats != nullptr) stats->main_comp_ms += comp_ms;
   return Status::Ok();
 }
 
@@ -787,14 +791,10 @@ StatusOr<AggregateResult> AggregateCacheManager::Execute(
   // The admission slot is held for the whole execution (ticket releases on
   // every return path); shed/timeout surfaces as a typed error before any
   // table lock is taken.
-  Stopwatch admit_watch;
-  aq_guard.SetPhase(SpanKindToString(SpanKind::kAdmissionWait));
-  StatusOr<AdmissionController::Ticket> ticket_or = [&] {
-    ScopedSpan admit_span(SpanKind::kAdmissionWait);
-    return AdmissionController::Global().Admit(ctx);
-  }();
-  uint64_t admission_wait_us =
-      static_cast<uint64_t>(admit_watch.ElapsedNanos() / 1000);
+  PhaseScope admit_phase(SpanKind::kAdmissionWait);
+  StatusOr<AdmissionController::Ticket> ticket_or =
+      AdmissionController::Global().Admit(ctx);
+  uint64_t admission_wait_us = static_cast<uint64_t>(admit_phase.End() / 1000);
   aq_guard.SetAdmissionWait(admission_wait_us);
   if (trace != nullptr) trace->admission_wait_us = admission_wait_us;
   auto fill_governance = [&] {
@@ -830,10 +830,7 @@ StatusOr<AggregateResult> AggregateCacheManager::Execute(
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
   last_stats_ = stats;
-  prune_stats_.considered += prune_acc.considered;
-  prune_stats_.pruned_empty += prune_acc.pruned_empty;
-  prune_stats_.pruned_aging += prune_acc.pruned_aging;
-  prune_stats_.pruned_tid_range += prune_acc.pruned_tid_range;
+  prune_stats_ += prune_acc;
   return result;
 }
 
@@ -865,14 +862,13 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
   uint64_t subjoins_before = executor_.stats().Snapshot().subjoins_executed;
   Stopwatch total_watch;
 
-  // The lookup span covers bind + consistent-view acquisition + entry
-  // resolution + main repair; it ends (reset) before delta compensation so
-  // the root's children tile the execution instead of overlapping.
-  std::optional<ScopedSpan> lookup_span;
+  // The lookup phase covers bind + consistent-view acquisition + entry
+  // resolution + main repair; it ends before delta compensation (or the
+  // uncached execution) so the root's children tile the execution instead
+  // of overlapping.
+  std::optional<PhaseScope> lookup_phase;
   if (options.strategy != ExecutionStrategy::kUncached) {
-    lookup_span.emplace(SpanKind::kCacheLookup);
-    ActiveQueryGuard::CurrentSetPhase(
-        SpanKindToString(SpanKind::kCacheLookup));
+    lookup_phase.emplace(SpanKind::kCacheLookup);
   }
 
   ASSIGN_OR_RETURN(BoundQuery bound, BoundQuery::Bind(*db_, query));
@@ -883,134 +879,57 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
   Snapshot snapshot = view.snapshot();
   if (trace != nullptr) trace->snapshot_tid = snapshot.read_tid;
 
-  if (options.strategy == ExecutionStrategy::kUncached ||
-      !query.IsCacheable()) {
-    if (trace != nullptr) {
-      trace->cache_outcome = options.strategy == ExecutionStrategy::kUncached
-                                 ? "uncached"
-                                 : "not-cacheable";
-    }
-    lookup_span.reset();
-    ScopedSpan exec_span(SpanKind::kUncachedExec);
-    PerfPhaseRegion exec_perf(SpanKindToString(SpanKind::kUncachedExec),
-                              &exec_span);
-    ActiveQueryGuard::CurrentSetPhase(
-        SpanKindToString(SpanKind::kUncachedExec));
-    ASSIGN_OR_RETURN(AggregateResult result,
-                     executor_.ExecuteUncachedBound(bound, snapshot));
-    stats->subjoins_executed =
-        executor_.stats().Snapshot().subjoins_executed - subjoins_before;
-    return result;
-  }
-  stats->used_cache = true;
-
-  ASSIGN_OR_RETURN(std::shared_ptr<CacheEntry> entry,
-                   GetOrCreateEntry(bound, snapshot, stats));
-  if (entry == nullptr) {
-    // Not admitted (or starved by eviction): answer without the cache. The
-    // lookup still consulted the cache, so it counts — as a miss.
-    metrics.cache_lookups->Increment();
-    metrics.cache_misses->Increment();
-    metrics.cache_admission_rejects->Increment();
-    metrics.cache_uncached_fallbacks->Increment();
-    if (trace != nullptr) trace->cache_outcome = "admission-rejected";
-    stats->used_cache = false;
-    lookup_span.reset();
-    ScopedSpan exec_span(SpanKind::kUncachedExec);
-    PerfPhaseRegion exec_perf(SpanKindToString(SpanKind::kUncachedExec),
-                              &exec_span);
-    ActiveQueryGuard::CurrentSetPhase(
-        SpanKindToString(SpanKind::kUncachedExec));
-    ASSIGN_OR_RETURN(AggregateResult result,
-                     executor_.ExecuteUncachedBound(bound, snapshot));
-    stats->subjoins_executed =
-        executor_.stats().Snapshot().subjoins_executed - subjoins_before;
-    return result;
-  }
-
-  // Read or repair the cached main result under the entry's value lock.
-  // Fast path: a clean entry only needs the shared lock — concurrent hits
-  // on one entry proceed in parallel.
+  const char* uncached_outcome =
+      options.strategy == ExecutionStrategy::kUncached ? "uncached"
+      : !query.IsCacheable()                            ? "not-cacheable"
+                                                        : nullptr;
+  std::shared_ptr<CacheEntry> entry;
   AggregateResult main_result;
-  bool have_main = false;
-  {
-    std::shared_lock<std::shared_mutex> value_lock(entry->value_mutex());
-    if (entry->base_tid() <= snapshot.read_tid &&
-        entry->ShapeMatches(bound.tables) && !entry->IsDirty(bound.tables)) {
-      main_result = entry->MergedMainResult(bound.aggregates.size());
-      have_main = true;
-      if (!stats->entry_created) stats->cache_hit = true;
-    }
+  if (uncached_outcome == nullptr) {
+    stats->used_cache = true;
+    ASSIGN_OR_RETURN(uncached_outcome,
+                     ResolveCachedMain(bound, snapshot, stats, &entry,
+                                       &main_result));
   }
-  if (!have_main) {
-    std::unique_lock<std::shared_mutex> value_lock(entry->value_mutex());
-    if (entry->base_tid() > snapshot.read_tid) {
-      // The entry moved past this reader's snapshot (compensation only
-      // goes forward in time); answer uncached rather than stall the
-      // entry for everyone else.
-      value_lock.unlock();
+  lookup_phase.reset();
+
+  if (uncached_outcome != nullptr) {
+    if (stats->used_cache) {
+      // The lookup consulted the cache before falling back, so it counts —
+      // as a miss.
       metrics.cache_lookups->Increment();
       metrics.cache_misses->Increment();
       metrics.cache_uncached_fallbacks->Increment();
-      if (trace != nullptr) trace->cache_outcome = "snapshot-fallback";
-      stats->used_cache = false;
-      stats->cache_hit = false;
-      lookup_span.reset();
-      ScopedSpan exec_span(SpanKind::kUncachedExec);
-      ASSIGN_OR_RETURN(AggregateResult result,
-                       executor_.ExecuteUncachedBound(bound, snapshot));
-      stats->subjoins_executed =
-          executor_.stats().Snapshot().subjoins_executed - subjoins_before;
-      return result;
     }
-    if (!entry->ShapeMatches(bound.tables)) {
-      // Partition layout changed (hot/cold split or a failed maintenance
-      // pass): rebuild from scratch. kRebuilding shields the entry from
-      // eviction while the recompute runs.
-      bool claimed =
-          entry->TryTransition(EntryState::kReady, EntryState::kRebuilding);
-      Status rebuild_status = RebuildEntry(*entry, bound, snapshot);
-      if (claimed) {
-        entry->TryTransition(EntryState::kRebuilding, EntryState::kReady);
-      }
-      if (!rebuild_status.ok()) {
-        entry->MarkForRebuild();
-        return rebuild_status;
-      }
-      stats->entry_rebuilt = true;
-      stats->main_exec_ms = entry->metrics().main_exec_ms;
-    } else if (!stats->entry_created) {
-      stats->cache_hit = true;
-    }
-    RETURN_IF_ERROR(MainCompensate(*entry, bound, snapshot, stats));
-    // Capture the merged result before dropping the lock — the partials
-    // may be compensated further the moment it is released.
-    main_result = entry->MergedMainResult(bound.aggregates.size());
+    if (trace != nullptr) trace->cache_outcome = uncached_outcome;
+    stats->used_cache = false;
+    stats->cache_hit = false;
+    PhaseScope exec_phase(SpanKind::kUncachedExec);
+    ASSIGN_OR_RETURN(AggregateResult result,
+                     executor_.ExecuteUncachedBound(bound, snapshot));
+    stats->subjoins_executed =
+        executor_.stats().Snapshot().subjoins_executed - subjoins_before;
+    return result;
   }
   TouchEntry(*entry);
-  lookup_span.reset();
 
   // Delta compensation needs no entry lock: it reads only table state,
-  // which the ReadView keeps frozen.
-  Stopwatch delta_watch;
+  // which the ReadView keeps frozen. The phase runs from pruner set-up
+  // through HAVING — the compensation a hit pays on top of the cached
+  // main result.
+  PhaseScope delta_phase(SpanKind::kDeltaCompensation,
+                         metrics.cache_delta_comp_us);
   JoinPruner pruner(db_, PruneLevelFor(options.strategy));
   std::vector<MdBinding> mds = ResolveMds(bound);
   CompensationStats comp_stats;
-  StatusOr<AggregateResult> delta_or = [&] {
-    ScopedSpan delta_span(SpanKind::kDeltaCompensation);
-    PerfPhaseRegion delta_perf(
-        SpanKindToString(SpanKind::kDeltaCompensation), &delta_span);
-    ActiveQueryGuard::CurrentSetPhase(
-        SpanKindToString(SpanKind::kDeltaCompensation));
-    return DeltaCompensate(executor_, bound, mds, pruner,
-                           options.use_predicate_pushdown, snapshot,
-                           &comp_stats);
-  }();
-  RETURN_IF_ERROR(delta_or.status());
-  main_result.MergeFrom(delta_or.value());
+  ASSIGN_OR_RETURN(AggregateResult delta_result,
+                   DeltaCompensate(executor_, bound, mds, pruner,
+                                   options.use_predicate_pushdown, snapshot,
+                                   &comp_stats));
+  main_result.MergeFrom(delta_result);
   AggregateResult result = query.ApplyHaving(std::move(main_result));
+  const double delta_ms = delta_phase.EndMillis();
 
-  double delta_ms = delta_watch.ElapsedMillis();
   // Only true hits count toward profit: the miss that just created (or the
   // access that rebuilt) the entry saved nothing, and crediting it would
   // inflate Profit() for new entries and skew eviction.
@@ -1061,14 +980,11 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
   stats->subjoins_pruned = comp_stats.subjoins_pruned;
   stats->subjoins_executed =
       executor_.stats().Snapshot().subjoins_executed - subjoins_before;
-  prune_acc->considered += pruner.stats().considered;
-  prune_acc->pruned_empty += pruner.stats().pruned_empty;
-  prune_acc->pruned_aging += pruner.stats().pruned_aging;
-  prune_acc->pruned_tid_range += pruner.stats().pruned_tid_range;
+  *prune_acc += pruner.stats();
 
-  // Exactly one of the four outcome sites counts each consulted lookup
-  // (here, the two fallbacks above, or the admission reject), so
-  // hits + misses == lookups holds registry-wide. Error returns count
+  // Exactly one of two sites counts each consulted lookup (here, or the
+  // uncached fallback above), so hits + misses == lookups holds
+  // registry-wide. Error returns count
   // nothing: the lookup never produced an answer.
   metrics.cache_lookups->Increment();
   if (stats->cache_hit) {
@@ -1076,8 +992,6 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
   } else {
     metrics.cache_misses->Increment();
   }
-  metrics.cache_delta_comp_us->Observe(
-      static_cast<uint64_t>(delta_ms * 1000.0));
   if (trace != nullptr) {
     trace->cache_outcome = stats->entry_rebuilt ? "rebuilt"
                            : stats->cache_hit  ? "hit"
@@ -1087,6 +1001,62 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
     trace->delta_comp_ms = stats->delta_comp_ms;
   }
   return result;
+}
+
+StatusOr<const char*> AggregateCacheManager::ResolveCachedMain(
+    const BoundQuery& bound, Snapshot snapshot, CacheExecStats* stats,
+    std::shared_ptr<CacheEntry>* entry_out, AggregateResult* main_result) {
+  ASSIGN_OR_RETURN(std::shared_ptr<CacheEntry> entry,
+                   GetOrCreateEntry(bound, snapshot, stats));
+  if (entry == nullptr) {
+    // Not admitted (or starved by eviction).
+    EngineMetrics::Get().cache_admission_rejects->Increment();
+    return "admission-rejected";
+  }
+  *entry_out = entry;
+  // Read or repair the cached main result under the entry's value lock.
+  // Fast path: a clean entry only needs the shared lock — concurrent hits
+  // on one entry proceed in parallel.
+  {
+    std::shared_lock<std::shared_mutex> value_lock(entry->value_mutex());
+    if (entry->base_tid() <= snapshot.read_tid &&
+        entry->ShapeMatches(bound.tables) && !entry->IsDirty(bound.tables)) {
+      *main_result = entry->MergedMainResult(bound.aggregates.size());
+      if (!stats->entry_created) stats->cache_hit = true;
+      return nullptr;
+    }
+  }
+  std::unique_lock<std::shared_mutex> value_lock(entry->value_mutex());
+  if (entry->base_tid() > snapshot.read_tid) {
+    // The entry moved past this reader's snapshot (compensation only goes
+    // forward in time); answer uncached rather than stall the entry for
+    // everyone else.
+    return "snapshot-fallback";
+  }
+  if (!entry->ShapeMatches(bound.tables)) {
+    // Partition layout changed (hot/cold split or a failed maintenance
+    // pass): rebuild from scratch. kRebuilding shields the entry from
+    // eviction while the recompute runs.
+    bool claimed =
+        entry->TryTransition(EntryState::kReady, EntryState::kRebuilding);
+    Status rebuild_status = RebuildEntry(*entry, bound, snapshot);
+    if (claimed) {
+      entry->TryTransition(EntryState::kRebuilding, EntryState::kReady);
+    }
+    if (!rebuild_status.ok()) {
+      entry->MarkForRebuild();
+      return rebuild_status;
+    }
+    stats->entry_rebuilt = true;
+    stats->main_exec_ms = entry->metrics().main_exec_ms;
+  } else if (!stats->entry_created) {
+    stats->cache_hit = true;
+  }
+  RETURN_IF_ERROR(MainCompensate(*entry, bound, snapshot, stats));
+  // Capture the merged result before dropping the lock — the partials may
+  // be compensated further the moment it is released.
+  *main_result = entry->MergedMainResult(bound.aggregates.size());
+  return nullptr;
 }
 
 Status AggregateCacheManager::Prewarm(const AggregateQuery& query) {
@@ -1110,23 +1080,6 @@ CacheExecStats AggregateCacheManager::last_exec_stats() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   return last_stats_;
 }
-
-namespace {
-
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      *out += '\\';
-      *out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      *out += StrFormat("\\u%04x", c);
-    } else {
-      *out += c;
-    }
-  }
-}
-
-}  // namespace
 
 std::vector<AggregateCacheManager::LedgerEntry>
 AggregateCacheManager::LedgerSnapshot() const {

@@ -235,6 +235,17 @@ class AggregateCacheManager : public MergeObserver,
   StatusOr<std::shared_ptr<CacheEntry>> GetOrCreateEntry(
       const BoundQuery& bound, Snapshot snapshot, CacheExecStats* stats);
 
+  /// Resolves the bound query's entry and its main result at `snapshot`,
+  /// building, rebuilding or main-compensating the entry as needed. Returns
+  /// nullptr with `*entry` and `*main_result` set, or — when the query must
+  /// be answered uncached after all — the outcome that says why
+  /// ("admission-rejected" or "snapshot-fallback").
+  StatusOr<const char*> ResolveCachedMain(const BoundQuery& bound,
+                                          Snapshot snapshot,
+                                          CacheExecStats* stats,
+                                          std::shared_ptr<CacheEntry>* entry,
+                                          AggregateResult* main_result);
+
   /// Recomputes all main partials and snapshots under `snapshot`. Caller
   /// holds the entry's value lock exclusively.
   Status RebuildEntry(CacheEntry& entry, const BoundQuery& bound,

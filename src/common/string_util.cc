@@ -30,6 +30,55 @@ std::string StrJoin(const std::vector<std::string>& parts,
   return result;
 }
 
+std::vector<std::pair<std::string, std::string>> SplitKeyValues(
+    std::string_view spec) {
+  std::vector<std::pair<std::string, std::string>> pairs;
+  while (!spec.empty()) {
+    size_t comma = spec.find(',');
+    std::string_view part = spec.substr(0, comma);
+    spec = comma == std::string_view::npos ? std::string_view()
+                                           : spec.substr(comma + 1);
+    size_t eq = part.find('=');
+    if (eq == std::string_view::npos) continue;
+    pairs.emplace_back(part.substr(0, eq), part.substr(eq + 1));
+  }
+  return pairs;
+}
+
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          *out += buf;
+        } else {
+          *out += c;
+        }
+    }
+  }
+}
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  AppendJsonEscaped(&out, s);
+  return out;
+}
+
 std::string HumanBytes(size_t bytes) {
   const char* units[] = {"B", "KiB", "MiB", "GiB"};
   double value = static_cast<double>(bytes);

@@ -38,6 +38,14 @@ struct PruneStats {
   uint64_t total_pruned() const {
     return pruned_empty + pruned_aging + pruned_tid_range;
   }
+
+  PruneStats& operator+=(const PruneStats& other) {
+    considered += other.considered;
+    pruned_empty += other.pruned_empty;
+    pruned_aging += other.pruned_aging;
+    pruned_tid_range += other.pruned_tid_range;
+    return *this;
+  }
 };
 
 /// Dynamic join partition pruner (Sections 4 and 5.1).

@@ -4,10 +4,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/segmented_ring.h"
 
 namespace aggcache {
 
@@ -44,29 +44,17 @@ enum class FlightEventType : uint8_t {
 /// Event-type name used in JSON dumps (stable contract, golden-tested).
 const char* FlightEventTypeToString(FlightEventType type);
 
-/// A bounded, lock-free flight recorder: the engine's black box. Every
-/// recording thread owns (leases) a private segment — a fixed ring of
-/// atomic event slots plus a relaxed monotone cursor — so a Record() is a
-/// global relaxed fetch_add (for cross-thread ordering), a private relaxed
-/// fetch_add (slot claim) and a handful of relaxed stores. No lock, no
-/// allocation, no syscall on the record path; the hot paths it instruments
-/// (prune verdicts, entry state flips) pay nanoseconds.
+/// The engine's black box: typed events on a SegmentedRing (per-thread
+/// leased segments, seq-published slots, torn slots discarded at harvest —
+/// see segmented_ring.h). A Record() is a few relaxed atomics; the hot
+/// paths it instruments (prune verdicts, entry state flips) pay
+/// nanoseconds. Wraparound keeps the recent past; events are only *lost*
+/// (counted) when more threads record than there are segments.
 ///
-/// Dumps are loose snapshots: a dumper walks every segment, harvests slots
-/// whose sequence number is published (release store, acquire load),
-/// re-checks the sequence after reading the payload and drops the slot if a
-/// concurrent writer lapped it. A torn event is therefore *discarded*, never
-/// emitted. Dumping is expected at three moments — on demand (shell
-/// `\flight`, replayer `!flightdump`), from the AGGCACHE_CHECK failure hook,
-/// and from the SIGUSR1 handler — so a dying stress run ships its last-N
-/// thousand events instead of a bare counter dump.
-///
-/// Ring wraparound intentionally overwrites the oldest events (the recorder
-/// keeps the *recent* past). Events are only ever *lost* — counted in
-/// lost_events() — when more threads record concurrently than there are
-/// segments to lease; segments are returned to the free list at thread exit
-/// and reused (their parked events survive until the next lease overwrites
-/// them).
+/// Dumping is expected at three moments — on demand (shell `\flight`,
+/// replayer `!flightdump`), from the AGGCACHE_CHECK failure hook, and from
+/// the SIGUSR1 handler — so a dying stress run ships its last-N thousand
+/// events instead of a bare counter dump.
 class FlightRecorder {
  public:
   struct Options {
@@ -78,7 +66,6 @@ class FlightRecorder {
   };
 
   explicit FlightRecorder(Options options);
-  ~FlightRecorder();
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
@@ -99,13 +86,9 @@ class FlightRecorder {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Events dropped because every segment was leased by some other thread.
-  uint64_t lost_events() const {
-    return lost_.load(std::memory_order_relaxed);
-  }
+  uint64_t lost_events() const { return ring_.lost(); }
   /// Events successfully recorded (including ones since overwritten).
-  uint64_t recorded_events() const {
-    return next_seq_.load(std::memory_order_relaxed);
-  }
+  uint64_t recorded_events() const { return ring_.recorded(); }
 
   /// One harvested event, already validated (sequence stable across the
   /// payload read).
@@ -142,31 +125,13 @@ class FlightRecorder {
   static bool RequestedDumpPending();
 
   /// Number of segments currently leased (tests).
-  size_t active_segments() const;
+  size_t active_segments() const { return ring_.active_segments(); }
 
  private:
-  struct Slot;
-  struct Segment;
-
-  Segment* LeaseSegment();
-  void ReleaseSegment(Segment* segment);
-
-  friend struct FlightThreadLease;
-
-  Options options_;
-  /// Process-unique, never reused. Thread-local leases key on this rather
-  /// than the recorder's address: a stack-allocated recorder can die and a
-  /// new one can reuse the same address within a lease's lifetime.
-  const uint64_t instance_id_;
+  /// Payload words: t_us, type, a, b, detail[0..2].
+  SegmentedRing<FlightRecorder, 7> ring_;
   uint64_t t0_us_ = 0;
   std::atomic<bool> enabled_{true};
-  std::atomic<uint64_t> next_seq_{0};
-  std::atomic<uint64_t> lost_{0};
-  std::atomic<uint32_t> next_thread_id_{0};
-
-  mutable std::mutex segments_mu_;  ///< Lease/release + dump only.
-  std::vector<std::unique_ptr<Segment>> segments_;
-  std::vector<Segment*> free_segments_;
 };
 
 /// Convenience wrapper: FlightRecorder::Global().Record(...). Defined out

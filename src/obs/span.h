@@ -2,12 +2,13 @@
 #define AGGCACHE_OBS_SPAN_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/segmented_ring.h"
 
 namespace aggcache {
 
@@ -51,14 +52,12 @@ struct SpanLink {
   bool sampled() const { return query_id != 0; }
 };
 
-/// A bounded, lock-free span recorder: the flight recorder's tracing twin.
-/// Same per-thread leased segments, same seq-publication/wraparound
-/// discipline (unpublish → relaxed payload stores → release publish;
-/// harvesters discard torn slots), so recording one finished span costs a
-/// handful of relaxed atomics plus two steady_clock reads — well under the
-/// ≲50 ns/span budget the hot paths can absorb. Wraparound keeps the recent
-/// past; spans are only *lost* (counted) when more threads record than
-/// there are segments.
+/// Finished spans on a SegmentedRing — the same ring the flight recorder
+/// records into (per-thread leased segments, seq-published slots, torn
+/// slots discarded at harvest; see segmented_ring.h), so recording one span
+/// costs a handful of relaxed atomics plus its two clock reads.
+/// Wraparound keeps the recent past; spans are only *lost* (counted) when
+/// more threads record than there are segments.
 ///
 /// Spans are written once, at END: the RAII wrappers below hold the start
 /// timestamp and ids on the stack and publish a single slot on destruction,
@@ -80,7 +79,6 @@ class SpanRecorder {
   };
 
   explicit SpanRecorder(Options options);
-  ~SpanRecorder();
   SpanRecorder(const SpanRecorder&) = delete;
   SpanRecorder& operator=(const SpanRecorder&) = delete;
 
@@ -94,7 +92,7 @@ class SpanRecorder {
   /// Records one finished span. Timestamps are microseconds on the
   /// recorder's own clock (see NowMicros()); `detail` is truncated to
   /// 15 bytes. The trailing hardware-counter deltas are optional (0 = not
-  /// measured) — PerfPhaseRegion attaches them to phase spans when the
+  /// measured) — PhaseScope attaches them to phase spans when the
   /// host can read perf counters.
   void Record(SpanKind kind, uint64_t span_id, uint64_t parent_id,
               uint64_t query_id, uint64_t start_us, uint64_t end_us,
@@ -105,12 +103,15 @@ class SpanRecorder {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  uint64_t sample_every() const { return options_.sample_every; }
+  uint64_t sample_every() const { return sample_every_; }
 
   /// Microseconds since recorder construction, on the precise monotonic
   /// clock (spans measure durations, so unlike flight events they cannot
   /// use the coarse jiffy clock).
-  uint64_t NowMicros() const;
+  uint64_t NowMicros() const { return ToMicros(Clock::now()); }
+  /// The same clock at an instant the caller already read, so a phase
+  /// that times itself hands its span the identical timestamps.
+  uint64_t ToMicros(std::chrono::steady_clock::time_point t) const;
 
   /// Process-unique ids. Query ids double as Chrome-trace "pid" lanes, so
   /// background roots draw from the same counter as query roots.
@@ -126,13 +127,9 @@ class SpanRecorder {
   bool SampleTick();
 
   /// Spans dropped because every segment was leased by another thread.
-  uint64_t lost_spans() const {
-    return lost_.load(std::memory_order_relaxed);
-  }
+  uint64_t lost_spans() const { return ring_.lost(); }
   /// Spans successfully recorded (including ones since overwritten).
-  uint64_t recorded_spans() const {
-    return next_seq_.load(std::memory_order_relaxed);
-  }
+  uint64_t recorded_spans() const { return ring_.recorded(); }
 
   /// One harvested span, already validated (sequence stable across the
   /// payload read).
@@ -171,33 +168,20 @@ class SpanRecorder {
   void DumpToStderr(size_t max_spans = 8192) const;
 
   /// Number of segments currently leased (tests).
-  size_t active_segments() const;
+  size_t active_segments() const { return ring_.active_segments(); }
 
  private:
-  struct Slot;
-  struct Segment;
+  using Clock = std::chrono::steady_clock;
 
-  Segment* LeaseSegment();
-  void ReleaseSegment(Segment* segment);
-
-  friend struct SpanThreadLease;
-
-  Options options_;
-  /// Process-unique, never reused; thread-local leases key on this (see
-  /// FlightRecorder::instance_id_ for the rationale).
-  const uint64_t instance_id_;
-  uint64_t t0_us_ = 0;
+  /// Payload words: start_us, dur_us, kind, span_id, parent_id, query_id,
+  /// detail[0..1], cycles, instructions, llc_misses.
+  SegmentedRing<SpanRecorder, 11> ring_;
+  const uint64_t sample_every_;
+  const Clock::time_point t0_;
   std::atomic<bool> enabled_{false};
-  std::atomic<uint64_t> next_seq_{0};
-  std::atomic<uint64_t> lost_{0};
   std::atomic<uint64_t> next_span_id_{0};
   std::atomic<uint64_t> next_query_id_{0};
   std::atomic<uint64_t> sample_tick_{0};
-  std::atomic<uint32_t> next_thread_id_{0};
-
-  mutable std::mutex segments_mu_;  ///< Lease/release + dump only.
-  std::vector<std::unique_ptr<Segment>> segments_;
-  std::vector<Segment*> free_segments_;
 };
 
 /// The innermost active span on this thread, or an unsampled link. Capture
@@ -218,6 +202,9 @@ class ScopedSpan {
   /// Cross-thread child of `parent` — the ParallelFor fan-out form.
   ScopedSpan(SpanKind kind, const SpanLink& parent,
              const char* detail = nullptr);
+  /// Child of the thread-current span that began at `start`, an instant
+  /// the caller already read (PhaseScope's form).
+  ScopedSpan(SpanKind kind, std::chrono::steady_clock::time_point start);
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -225,18 +212,22 @@ class ScopedSpan {
   bool active() const { return active_; }
   SpanLink link() const { return SpanLink{query_id_, span_id_}; }
 
-  /// Attaches hardware-counter deltas, published with the span at
-  /// destruction as args{ipc, llc_miss}. Called by PerfPhaseRegion just
-  /// before the span closes; a no-op on inactive spans.
+  /// Attaches hardware-counter deltas, published with the span as
+  /// args{ipc, llc_miss}. Called by PhaseScope just before the span
+  /// closes; a no-op on inactive spans.
   void SetPerf(uint64_t cycles, uint64_t instructions, uint64_t llc_misses) {
     cycles_ = cycles;
     instructions_ = instructions;
     llc_misses_ = llc_misses;
   }
 
+  /// Publishes the span now, ending at `end`, and restores the parent as
+  /// thread-current; the destructor then does nothing.
+  void End(std::chrono::steady_clock::time_point end);
+
  private:
   void Begin(SpanKind kind, uint64_t query_id, uint64_t parent_id,
-             const char* detail);
+             const char* detail, uint64_t start_us);
   bool active_ = false;
   SpanKind kind_ = SpanKind::kQuery;
   uint64_t query_id_ = 0;
@@ -247,25 +238,28 @@ class ScopedSpan {
   uint64_t instructions_ = 0;
   uint64_t llc_misses_ = 0;
   SpanLink saved_;
-  bool installed_ = false;
   char detail_[16] = {};
 };
 
-/// RAII root span for one query: applies the sampling knob, allocates the
-/// query id (the Chrome-trace "pid" lane) and installs itself as the
-/// thread-current span so every ScopedSpan beneath it chains in.
-class QueryRootSpan {
+/// RAII root span: allocates its own query-id lane (the Chrome-trace
+/// "pid") and installs itself as the thread-current span so every
+/// ScopedSpan beneath it chains in. Constructed as a QueryRootSpan or a
+/// BackgroundSpan.
+class RootSpan {
  public:
-  explicit QueryRootSpan(const char* detail = nullptr);
-  ~QueryRootSpan();
-  QueryRootSpan(const QueryRootSpan&) = delete;
-  QueryRootSpan& operator=(const QueryRootSpan&) = delete;
+  ~RootSpan();
+  RootSpan(const RootSpan&) = delete;
+  RootSpan& operator=(const RootSpan&) = delete;
 
   bool active() const { return active_; }
   SpanLink link() const { return SpanLink{query_id_, span_id_}; }
 
+ protected:
+  RootSpan(SpanKind kind, const char* detail, bool apply_sampling);
+
  private:
   bool active_ = false;
+  SpanKind kind_ = SpanKind::kQuery;
   uint64_t query_id_ = 0;
   uint64_t span_id_ = 0;
   uint64_t start_us_ = 0;
@@ -273,28 +267,21 @@ class QueryRootSpan {
   char detail_[16] = {};
 };
 
-/// RAII root span for background work (merge, checkpoint, WAL sync,
-/// recovery replay). Ignores sampling — background spans are rare and a
-/// trace without them cannot explain tail latency. Gets its own query-id
-/// lane and installs itself thread-current, so e.g. maintenance rebuilds
-/// triggered by a merge become children of the merge span.
-class BackgroundSpan {
+/// Root span for one query; applies the sampling knob.
+class QueryRootSpan : public RootSpan {
  public:
-  explicit BackgroundSpan(SpanKind kind, const char* detail = nullptr);
-  ~BackgroundSpan();
-  BackgroundSpan(const BackgroundSpan&) = delete;
-  BackgroundSpan& operator=(const BackgroundSpan&) = delete;
+  explicit QueryRootSpan(const char* detail = nullptr)
+      : RootSpan(SpanKind::kQuery, detail, /*apply_sampling=*/true) {}
+};
 
-  bool active() const { return active_; }
-
- private:
-  bool active_ = false;
-  SpanKind kind_ = SpanKind::kMerge;
-  uint64_t query_id_ = 0;
-  uint64_t span_id_ = 0;
-  uint64_t start_us_ = 0;
-  SpanLink saved_;
-  char detail_[16] = {};
+/// Root span for background work (merge, checkpoint, WAL sync, recovery
+/// replay). Ignores sampling — background spans are rare and a trace
+/// without them cannot explain tail latency. Maintenance rebuilds
+/// triggered by a merge become children of the merge span.
+class BackgroundSpan : public RootSpan {
+ public:
+  explicit BackgroundSpan(SpanKind kind, const char* detail = nullptr)
+      : RootSpan(kind, detail, /*apply_sampling=*/false) {}
 };
 
 /// Records an already-elapsed region [start_us, now] as a child of the

@@ -1,6 +1,9 @@
 #include "cache/aggregate_cache_manager.h"
 
 #include "gtest/gtest.h"
+#include "obs/engine_metrics.h"
+#include "obs/query_trace.h"
+#include "obs/span.h"
 #include "tests/test_util.h"
 
 namespace aggcache {
@@ -334,6 +337,93 @@ TEST_F(CacheManagerTest, CreateAndRebuildSurfaceMainExecMs) {
   ASSERT_TRUE(cache_->Execute(query_, txn2).ok());
   ASSERT_TRUE(cache_->last_exec_stats().entry_rebuilt);
   EXPECT_GT(cache_->last_exec_stats().main_exec_ms, 0.0);
+}
+
+TEST_F(CacheManagerTest, FirstBuildSeedsRebuildEwmaWithTheBuildTime) {
+  // One clock read closes the build phase, and every sink gets that value:
+  // the EWMA's first sample is seeded directly, so it must equal
+  // main_exec_ms bit for bit.
+  Transaction txn = db_.Begin();
+  ASSERT_TRUE(cache_->Execute(query_, txn).ok());
+  ASSERT_TRUE(cache_->last_exec_stats().entry_created);
+  std::vector<AggregateCacheManager::LedgerEntry> ledger =
+      cache_->LedgerSnapshot();
+  ASSERT_EQ(ledger.size(), 1u);
+  EXPECT_GT(ledger[0].main_exec_ms, 0.0);
+  EXPECT_EQ(ledger[0].ewma_rebuild_ms, ledger[0].main_exec_ms);
+  EXPECT_EQ(cache_->last_exec_stats().main_exec_ms, ledger[0].main_exec_ms);
+}
+
+TEST_F(CacheManagerTest, ReaderOlderThanEntryFallsBackUncached) {
+  Transaction warm = db_.Begin();
+  ASSERT_TRUE(cache_->Execute(query_, warm).ok());
+  // The old reader's snapshot predates the delete below.
+  Transaction old_reader = db_.Begin();
+  Transaction writer = db_.Begin();
+  ASSERT_OK(header_->DeleteByPk(writer, Value(int64_t{1})));
+  // A newer reader main-compensates the entry past the old snapshot.
+  Transaction newer = db_.Begin();
+  ASSERT_TRUE(cache_->Execute(query_, newer).ok());
+  ASSERT_GT(cache_->Find(query_)->base_tid(), old_reader.snapshot().read_tid);
+
+  const EngineMetrics& metrics = EngineMetrics::Get();
+  uint64_t lookups = metrics.cache_lookups->Value();
+  uint64_t hits = metrics.cache_hits->Value();
+  uint64_t misses = metrics.cache_misses->Value();
+  uint64_t fallbacks = metrics.cache_uncached_fallbacks->Value();
+  bool spans_were_enabled = SpanRecorder::Global().enabled();
+  SpanRecorder::Global().set_enabled(true);
+  QueryTrace trace;
+  auto cached = cache_->ExecuteTraced(query_, old_reader, ExecutionOptions(),
+                                      &trace);
+  SpanRecorder::Global().set_enabled(spans_were_enabled);
+  ASSERT_TRUE(cached.ok()) << cached.status();
+  EXPECT_EQ(trace.cache_outcome, "snapshot-fallback");
+  EXPECT_FALSE(cache_->last_exec_stats().used_cache);
+
+  ExecutionOptions uncached;
+  uncached.strategy = ExecutionStrategy::kUncached;
+  auto expected = cache_->Execute(query_, old_reader, uncached);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  std::string diff;
+  EXPECT_TRUE(cached->ApproxEquals(*expected, 1e-9, &diff)) << diff;
+
+  EXPECT_EQ(metrics.cache_uncached_fallbacks->Value(), fallbacks + 1);
+  EXPECT_EQ(metrics.cache_lookups->Value(), lookups + 1);
+  EXPECT_EQ(metrics.cache_misses->Value(), misses + 1);
+  EXPECT_EQ(metrics.cache_hits->Value(), hits);
+
+  // The fallback's uncached execution is a direct child of the query root.
+  std::vector<SpanRecorder::Span> spans = SpanRecorder::Global().Collect();
+  const SpanRecorder::Span* root = nullptr;
+  for (const SpanRecorder::Span& span : spans) {
+    if (span.kind == SpanKind::kQuery &&
+        (root == nullptr || span.seq > root->seq)) {
+      root = &span;
+    }
+  }
+  ASSERT_NE(root, nullptr);
+  int uncached_children = 0;
+  for (const SpanRecorder::Span& span : spans) {
+    if (span.query_id == root->query_id &&
+        span.kind == SpanKind::kUncachedExec) {
+      EXPECT_EQ(span.parent_id, root->span_id);
+      ++uncached_children;
+    }
+  }
+  EXPECT_EQ(uncached_children, 1);
+}
+
+TEST_F(CacheManagerTest, EntryBuiltByOldReaderAfterMergeServesNewReaders) {
+  // The old reader's snapshot predates a business object that a merge
+  // then moves into main. Its cache miss builds the entry at that old
+  // snapshot; a newer reader must still see the object.
+  Transaction old_reader = db_.Begin();
+  ASSERT_OK(testing_util::InsertBusinessObject(&db_, header_, item_, 50, 2014,
+                                               2, 3.0, &next_item_id_));
+  ASSERT_OK(db_.MergeTables({"Header", "Item"}));
+  ASSERT_TRUE(cache_->Execute(query_, old_reader).ok());
+  ExpectAllStrategiesAgree(&db_, cache_.get(), query_);
 }
 
 TEST_F(CacheManagerTest, EvictionByteAccountingMatchesRecomputation) {

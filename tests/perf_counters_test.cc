@@ -14,6 +14,8 @@
 
 #include "gtest/gtest.h"
 #include "obs/engine_metrics.h"
+#include "obs/metrics_registry.h"
+#include "obs/phase_scope.h"
 #include "obs/query_trace.h"
 
 namespace aggcache {
@@ -115,29 +117,47 @@ TEST_F(PerfCountersTest, TraceOmitsPerfFieldsWhenUnavailable) {
   EXPECT_NE(trace.ToText().find("perf:"), std::string::npos);
 }
 
-TEST_F(PerfCountersTest, PhaseRegionIsInertWithoutConsumers) {
-  // No trace installed, no span: the region must not arm (and thus must
+TEST_F(PerfCountersTest, PhaseScopeIsInertWithoutConsumers) {
+  // No trace installed, no live span: the phase must not arm (and thus must
   // not read counters), keeping the span-overhead budget intact.
   PerfCounters::SimulateOpenFailureForTest(EACCES);
   {
-    PerfPhaseRegion region("test_phase");
+    PhaseScope phase(SpanKind::kEntryBuild);
   }  // Destructor must be a no-op; nothing to assert beyond not crashing.
   PerfCounters::ResetForTest();
 
-  // With a trace installed the region feeds trace.perf_phases — but only
+  // With a trace installed the phase feeds trace.perf_phases — but only
   // when the counters are readable.
   QueryTrace trace;
   {
     TraceContext scope(&trace);
-    PerfPhaseRegion region("test_phase");
+    PhaseScope phase(SpanKind::kEntryBuild);
   }
   if (PerfCounters::Available()) {
     ASSERT_EQ(trace.perf_phases.size(), 1u);
-    EXPECT_STREQ(trace.perf_phases[0].phase, "test_phase");
+    EXPECT_STREQ(trace.perf_phases[0].phase, "entry_build");
     EXPECT_TRUE(trace.perf_phases[0].delta.valid);
   } else {
     EXPECT_TRUE(trace.perf_phases.empty());
   }
+}
+
+TEST(PhaseScopeTest, EndFeedsTheHistogramOnceAndErrorExitsNever) {
+  Histogram latency_us;
+  {
+    PhaseScope phase(SpanKind::kMainCorrection, &latency_us);
+    int64_t elapsed_ns = phase.End();
+    EXPECT_GE(elapsed_ns, 0);
+    // Idempotent: the same single clock read, no second sample.
+    EXPECT_EQ(phase.End(), elapsed_ns);
+    EXPECT_EQ(latency_us.Sum(), static_cast<uint64_t>(elapsed_ns / 1000));
+  }
+  EXPECT_EQ(latency_us.TotalCount(), 1u);
+  {
+    // Left without End() — the error-return path.
+    PhaseScope phase(SpanKind::kMainCorrection, &latency_us);
+  }
+  EXPECT_EQ(latency_us.TotalCount(), 1u);
 }
 
 }  // namespace

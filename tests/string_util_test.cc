@@ -32,5 +32,24 @@ TEST(HumanBytesTest, PicksUnits) {
   EXPECT_EQ(HumanBytes(size_t{5} << 30), "5.0 GiB");
 }
 
+TEST(SplitKeyValuesTest, KeepsPairsInOrderAndSkipsBareParts) {
+  using Pairs = std::vector<std::pair<std::string, std::string>>;
+  EXPECT_EQ(SplitKeyValues("events=4096,threads=32"),
+            (Pairs{{"events", "4096"}, {"threads", "32"}}));
+  EXPECT_EQ(SplitKeyValues("on,sample=16,,x="),
+            (Pairs{{"sample", "16"}, {"x", ""}}));
+  EXPECT_TRUE(SplitKeyValues("").empty());
+}
+
+TEST(JsonEscapeTest, PinsTheEscapes) {
+  std::string out = "x";
+  AppendJsonEscaped(&out, "a\"b\\c\nd\te\x01" "f");
+  EXPECT_EQ(out, "xa\\\"b\\\\c\\nd\\te\\u0001f");
+  EXPECT_EQ(JsonEscape("\x1f"), "\\u001f");
+  // Bytes >= 0x20, UTF-8 included, pass through untouched.
+  EXPECT_EQ(JsonEscape("plain \xc3\xbc"), "plain \xc3\xbc");
+  EXPECT_EQ(JsonEscape(""), "");
+}
+
 }  // namespace
 }  // namespace aggcache
