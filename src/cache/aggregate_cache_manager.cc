@@ -12,7 +12,6 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "obs/active_queries.h"
 #include "obs/engine_metrics.h"
 #include "obs/flight_recorder.h"
@@ -188,14 +187,17 @@ size_t AggregateCacheManager::num_entries() const {
   return n;
 }
 
-size_t AggregateCacheManager::RecomputeTotalBytes() const {
-  // Shard locks before bytes_mu_, per the lock hierarchy; bytes_accounted
-  // is guarded by bytes_mu_.
-  std::array<std::unique_lock<std::mutex>, kNumShards> shard_locks;
+std::array<std::unique_lock<std::mutex>, AggregateCacheManager::kNumShards>
+AggregateCacheManager::LockAllShards() const {
+  // Index order is the only multi-shard order used.
+  std::array<std::unique_lock<std::mutex>, kNumShards> locks;
   for (size_t i = 0; i < kNumShards; ++i) {
-    shard_locks[i] = std::unique_lock<std::mutex>(shards_[i].mu);
+    locks[i] = std::unique_lock<std::mutex>(shards_[i].mu);
   }
-  std::lock_guard<std::mutex> bytes_lock(bytes_mu_);
+  return locks;
+}
+
+size_t AggregateCacheManager::SumAccountedBytesLocked() const {
   size_t bytes = 0;
   for (const Shard& shard : shards_) {
     for (const auto& [key, entry] : shard.entries) {
@@ -203,6 +205,14 @@ size_t AggregateCacheManager::RecomputeTotalBytes() const {
     }
   }
   return bytes;
+}
+
+size_t AggregateCacheManager::RecomputeTotalBytes() const {
+  // Shard locks before bytes_mu_, per the lock hierarchy; bytes_accounted
+  // is guarded by bytes_mu_.
+  auto shard_locks = LockAllShards();
+  std::lock_guard<std::mutex> bytes_lock(bytes_mu_);
+  return SumAccountedBytesLocked();
 }
 
 size_t AggregateCacheManager::total_bytes() const {
@@ -213,16 +223,19 @@ size_t AggregateCacheManager::total_bytes() const {
 void AggregateCacheManager::AssertByteAccountingLocked() const {
 #ifndef NDEBUG
   std::lock_guard<std::mutex> bytes_lock(bytes_mu_);
-  size_t recomputed = 0;
-  for (const Shard& shard : shards_) {
-    for (const auto& [key, entry] : shard.entries) {
-      if (entry->bytes_accounted) recomputed += entry->metrics().size_bytes;
-    }
-  }
+  size_t recomputed = SumAccountedBytesLocked();
   AGGCACHE_CHECK(total_bytes_ == recomputed)
       << "running byte total " << total_bytes_ << " != recomputed "
       << recomputed;
 #endif
+}
+
+void AggregateCacheManager::ReleaseEntryBytes(CacheEntry& entry) {
+  std::lock_guard<std::mutex> bytes_lock(bytes_mu_);
+  if (!entry.bytes_accounted) return;
+  total_bytes_ -= entry.metrics().size_bytes;
+  MemoryTracker::Cache().Release(entry.metrics().size_bytes);
+  entry.bytes_accounted = false;
 }
 
 void AggregateCacheManager::RefreshEntrySize(CacheEntry& entry) {
@@ -241,20 +254,10 @@ void AggregateCacheManager::RefreshEntrySize(CacheEntry& entry) {
 }
 
 void AggregateCacheManager::Clear() {
-  std::array<std::unique_lock<std::mutex>, kNumShards> shard_locks;
-  for (size_t i = 0; i < kNumShards; ++i) {
-    shard_locks[i] = std::unique_lock<std::mutex>(shards_[i].mu);
-  }
+  auto shard_locks = LockAllShards();
   for (Shard& shard : shards_) {
     for (auto& [key, entry] : shard.entries) {
-      {
-        std::lock_guard<std::mutex> bytes_lock(bytes_mu_);
-        if (entry->bytes_accounted) {
-          total_bytes_ -= entry->metrics().size_bytes;
-          MemoryTracker::Cache().Release(entry->metrics().size_bytes);
-          entry->bytes_accounted = false;
-        }
-      }
+      ReleaseEntryBytes(*entry);
       // In-flight creators notice the eviction at finalization (their
       // residency check fails); waiters wake, see kEvicted, and retry.
       entry->SetState(EntryState::kEvicted);
@@ -329,14 +332,7 @@ void AggregateCacheManager::RemoveEntry(
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.entries.find(entry->key());
   if (it == shard.entries.end() || it->second != entry) return;
-  {
-    std::lock_guard<std::mutex> bytes_lock(bytes_mu_);
-    if (entry->bytes_accounted) {
-      total_bytes_ -= entry->metrics().size_bytes;
-      MemoryTracker::Cache().Release(entry->metrics().size_bytes);
-      entry->bytes_accounted = false;
-    }
-  }
+  ReleaseEntryBytes(*entry);
   shard.entries.erase(it);
 }
 
@@ -349,57 +345,36 @@ Status AggregateCacheManager::RebuildEntry(CacheEntry& entry,
   entry.main_partials().clear();
   // Cross-temperature all-main combos can be pruned logically at build time
   // (Section 5.4); tid-range pruning is sound here as well. Prune decisions
-  // stay on the calling thread; the surviving subjoins fan out.
+  // stay on the calling thread; pruned combos get an empty partial and only
+  // the surviving subjoins fan out.
   JoinPruner pruner(db_, PruneLevel::kFull);
   std::vector<MdBinding> mds = ResolveMds(bound);
-  std::vector<SubjoinCombination> combos =
-      EnumerateAllMainCombinations(bound.tables);
-  std::vector<char> pruned(combos.size(), 0);
-  for (size_t i = 0; i < combos.size(); ++i) {
-    PruneDecision decision = pruner.ShouldPrune(bound, mds, combos[i]);
-    pruned[i] = decision.pruned ? 1 : 0;
-    RecordSubjoin(bound, mds, combos[i], "build", decision, {});
-  }
-  std::vector<AggregateResult> partials(combos.size());
-  std::vector<ExecutorStats> task_stats(combos.size());
-  std::vector<Status> task_status(combos.size());
-  // Re-install the building query's governance context on the pool workers,
-  // plus the span parent so build subjoins land under the build span.
-  QueryContext* ctx = QueryContext::Current();
-  SpanLink span_parent = CurrentSpanLink();
-  ParallelFor(combos.size(), [&](size_t i) {
-    ScopedQueryContext scope(ctx);
-    if (pruned[i]) {
-      partials[i] = AggregateResult(bound.aggregates.size());
-      return;
-    }
-    ScopedSpan task_span(SpanKind::kSubjoinTask, span_parent, "build");
-    auto partial =
-        executor_.ExecuteSubjoin(bound, combos[i], snapshot,
-                                 /*extra_filters=*/{},
-                                 /*restriction=*/nullptr, &task_stats[i]);
-    if (partial.ok()) {
-      partials[i] = std::move(partial).value();
+  std::vector<SubjoinCombination> pruned;
+  std::vector<Executor::SubjoinTask> tasks;
+  for (SubjoinCombination& combo :
+       EnumerateAllMainCombinations(bound.tables)) {
+    PruneDecision decision = pruner.ShouldPrune(bound, mds, combo);
+    RecordSubjoin(bound, mds, combo, "build", decision, {});
+    if (decision.pruned) {
+      pruned.push_back(std::move(combo));
     } else {
-      task_status[i] = partial.status();
+      tasks.push_back({std::move(combo), {}, {}});
     }
-  });
-  // Stats merge all-or-none before the error check, matching the registry
-  // flushes each subjoin already performed on its worker.
-  uint64_t rows_aggregated = 0;
-  Status first_error;
-  for (size_t i = 0; i < combos.size(); ++i) {
-    executor_.stats().MergeFrom(task_stats[i]);
-    rows_aggregated += task_stats[i].rows_scanned;
-    if (first_error.ok() && !task_status[i].ok()) first_error = task_status[i];
   }
-  RETURN_IF_ERROR(first_error);
-  for (size_t i = 0; i < combos.size(); ++i) {
-    entry.main_partials()[std::move(combos[i])] = std::move(partials[i]);
+  ExecutorStats total;
+  ASSIGN_OR_RETURN(
+      std::vector<AggregateResult> partials,
+      executor_.ExecuteSubjoins(bound, tasks, snapshot, "build", &total));
+  for (SubjoinCombination& combo : pruned) {
+    entry.main_partials()[std::move(combo)] =
+        AggregateResult(bound.aggregates.size());
+  }
+  for (size_t i = 0; i < tasks.size(); ++i) {
+    entry.main_partials()[std::move(tasks[i].combo)] = std::move(partials[i]);
   }
   RefreshSnapshots(entry, bound, snapshot);
   RefreshEntrySize(entry);
-  entry.metrics().main_rows_aggregated = rows_aggregated;
+  entry.metrics().main_rows_aggregated = total.rows_scanned;
   const double build_ms = phase.EndMillis();
   entry.metrics().main_exec_ms = build_ms;
   CacheEntryMetrics::Ewma(entry.metrics().ewma_rebuild_ms, build_ms);
@@ -662,83 +637,45 @@ Status AggregateCacheManager::JoinMainCompensate(CacheEntry& entry,
   // The 2^d - 1 joins per combo are independent, so every (combo, mask)
   // pair fans out across the pool; corrections merge back per combo in
   // mask order for determinism.
-  struct CorrectionJob {
-    size_t combo_index = 0;
-    const SubjoinCombination* combo = nullptr;
-    Executor::RowRestriction restriction;
-  };
   std::vector<AggregateResult*> dirty_partials;
-  std::vector<CorrectionJob> jobs;
+  std::vector<Executor::SubjoinTask> tasks;
+  std::vector<size_t> task_combo;  // Index into dirty_partials per task.
   for (auto& [combo, partial] : entry.main_partials()) {
     std::vector<size_t> dirty_tables;
     for (size_t t = 0; t < num_tables; ++t) {
       if (!negative[t][combo[t].group].empty()) dirty_tables.push_back(t);
     }
     if (dirty_tables.empty()) continue;
-    size_t combo_index = dirty_partials.size();
     dirty_partials.push_back(&partial);
     for (uint32_t mask = 1; mask < (1u << dirty_tables.size()); ++mask) {
-      CorrectionJob job;
-      job.combo_index = combo_index;
-      job.combo = &combo;
-      job.restriction.rows.resize(num_tables);
-      job.restriction.bypass_visibility_for_restricted = true;
+      Executor::SubjoinTask task{combo, {}, {}};
+      task.restriction.rows.resize(num_tables);
+      task.restriction.bypass_visibility_for_restricted = true;
       for (size_t i = 0; i < dirty_tables.size(); ++i) {
         if (mask & (1u << i)) {
           size_t t = dirty_tables[i];
-          job.restriction.rows[t] = negative[t][combo[t].group];
+          task.restriction.rows[t] = negative[t][combo[t].group];
         }
       }
-      jobs.push_back(std::move(job));
+      // Correction joins are part of the answer an EXPLAIN-ing caller sees
+      // (no MD bindings — restrictions, not tid ranges, select the rows).
+      RecordSubjoin(bound, {}, combo, "main-correction", PruneDecision{}, {});
+      tasks.push_back(std::move(task));
+      task_combo.push_back(dirty_partials.size() - 1);
     }
   }
 
-  // Correction joins are part of the answer an EXPLAIN-ing caller sees:
-  // record them (no MD bindings — restrictions, not tid ranges, select the
-  // rows here).
-  if (TraceContext::Current() != nullptr) {
-    for (const CorrectionJob& job : jobs) {
-      RecordSubjoin(bound, {}, *job.combo, "main-correction", PruneDecision{},
-                    {});
-    }
+  ASSIGN_OR_RETURN(
+      std::vector<AggregateResult> terms,
+      executor_.ExecuteSubjoins(bound, tasks, snapshot, "correction"));
+  // Tasks were emitted combo-major in mask order; replay that order exactly.
+  std::vector<AggregateResult> corrections(
+      dirty_partials.size(), AggregateResult(bound.aggregates.size()));
+  for (size_t j = 0; j < tasks.size(); ++j) {
+    corrections[task_combo[j]].MergeFrom(terms[j]);
   }
-
-  std::vector<AggregateResult> terms(jobs.size());
-  std::vector<ExecutorStats> task_stats(jobs.size());
-  std::vector<Status> task_status(jobs.size());
-  QueryContext* ctx = QueryContext::Current();
-  SpanLink span_parent = CurrentSpanLink();
-  ParallelFor(jobs.size(), [&](size_t j) {
-    ScopedQueryContext scope(ctx);
-    ScopedSpan task_span(SpanKind::kSubjoinTask, span_parent, "correction");
-    auto term =
-        executor_.ExecuteSubjoin(bound, *jobs[j].combo, snapshot,
-                                 /*extra_filters=*/{}, &jobs[j].restriction,
-                                 &task_stats[j]);
-    if (term.ok()) {
-      terms[j] = std::move(term).value();
-    } else {
-      task_status[j] = term.status();
-    }
-  });
-
-  // Stats merge all-or-none first, so a failed correction term cannot leave
-  // the shared counters short of what the registry already recorded.
-  Status first_error;
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    executor_.stats().MergeFrom(task_stats[j]);
-    if (first_error.ok() && !task_status[j].ok()) first_error = task_status[j];
-  }
-  RETURN_IF_ERROR(first_error);
-
-  // Jobs were emitted combo-major in mask order; replay that order exactly.
-  size_t j = 0;
   for (size_t c = 0; c < dirty_partials.size(); ++c) {
-    AggregateResult corrections(bound.aggregates.size());
-    for (; j < jobs.size() && jobs[j].combo_index == c; ++j) {
-      corrections.MergeFrom(terms[j]);
-    }
-    RETURN_IF_ERROR(dirty_partials[c]->SubtractFrom(corrections));
+    RETURN_IF_ERROR(dirty_partials[c]->SubtractFrom(corrections[c]));
   }
 
   // All combos corrected: refresh the snapshots.
@@ -797,15 +734,20 @@ StatusOr<AggregateResult> AggregateCacheManager::Execute(
   uint64_t admission_wait_us = static_cast<uint64_t>(admit_phase.End() / 1000);
   aq_guard.SetAdmissionWait(admission_wait_us);
   if (trace != nullptr) trace->admission_wait_us = admission_wait_us;
-  auto fill_governance = [&] {
-    if (trace == nullptr) return;
+  // Closes the query's one clock read: the same elapsed value becomes the
+  // trace's total_ms and the slow-query record's elapsed_ms.
+  auto finish = [&] {
+    double elapsed_ms = exec_watch.ElapsedMillis();
+    if (trace == nullptr) return elapsed_ms;
+    trace->total_ms = elapsed_ms;
     trace->mem_peak_bytes = ctx->memory_high_water();
     if (ctx->abort_reason() != QueryAbortReason::kNone) {
       trace->abort_cause = QueryAbortReasonToString(ctx->abort_reason());
     }
+    return elapsed_ms;
   };
   if (!ticket_or.ok()) {
-    fill_governance();
+    finish();
     return ticket_or.status();
   }
   AdmissionController::Ticket ticket = std::move(ticket_or).value();
@@ -818,15 +760,12 @@ StatusOr<AggregateResult> AggregateCacheManager::Execute(
     trace->perf_available = true;
     trace->perf_total = perf_total;
   }
-  fill_governance();
+  const double elapsed_ms = finish();
   SlowQueryLog& slow_log = SlowQueryLog::Global();
-  if (slow_log.enabled()) {
-    double elapsed_ms = exec_watch.ElapsedMillis();
-    if (elapsed_ms >= slow_log.threshold_ms()) {
-      slow_log.Record(BuildSlowQueryRecord(
-          statement, strategy_name, elapsed_ms, admission_wait_us, *ctx,
-          result.status(), trace, perf_total, root_span.link().query_id));
-    }
+  if (slow_log.enabled() && elapsed_ms >= slow_log.threshold_ms()) {
+    slow_log.Record(BuildSlowQueryRecord(
+        statement, strategy_name, elapsed_ms, admission_wait_us, *ctx,
+        result.status(), trace, perf_total, root_span.link().query_id));
   }
   std::lock_guard<std::mutex> lock(stats_mu_);
   last_stats_ = stats;
@@ -843,11 +782,8 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteTraced(
   if (trace->statement.empty()) {
     trace->statement = MakeCacheKey(query).canonical;
   }
-  Stopwatch watch;
   TraceContext scope(trace);
-  auto result = Execute(query, txn, options);
-  trace->total_ms = watch.ElapsedMillis();
-  return result;
+  return Execute(query, txn, options);
 }
 
 StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
@@ -860,7 +796,6 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
   // calls the shared counter makes the delta approximate (observability
   // only, never correctness).
   uint64_t subjoins_before = executor_.stats().Snapshot().subjoins_executed;
-  Stopwatch total_watch;
 
   // The lookup phase covers bind + consistent-view acquisition + entry
   // resolution + main repair; it ends before delta compensation (or the
@@ -891,7 +826,8 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
                      ResolveCachedMain(bound, snapshot, stats, &entry,
                                        &main_result));
   }
-  lookup_phase.reset();
+  const double lookup_ms =
+      lookup_phase.has_value() ? lookup_phase->EndMillis() : 0.0;
 
   if (uncached_outcome != nullptr) {
     if (stats->used_cache) {
@@ -941,8 +877,8 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
     // Ledger: what this hit cost and what it saved. "Saved" is the entry's
     // recorded main execution cost (what recomputing the mains would have
     // taken) minus the compensation actually paid — negative when the
-    // deltas have outgrown the entry.
-    double hit_ms = total_watch.ElapsedMillis();
+    // deltas have outgrown the entry. The hit's latency is its two phases.
+    double hit_ms = lookup_ms + delta_ms;
     double comp_paid_ms = delta_ms + stats->main_comp_ms;
     double saved_ms =
         em.main_exec_ms.load(std::memory_order_relaxed) - comp_paid_ms;
@@ -1190,12 +1126,9 @@ void AggregateCacheManager::UpdateDegradedMode(bool under_pressure) {
 }
 
 void AggregateCacheManager::EvictIfNeeded(const CacheEntry* keep) {
-  // All shard locks in index order (the only multi-shard order used) so
-  // the budget check and victim ranking see one consistent map state.
-  std::array<std::unique_lock<std::mutex>, kNumShards> shard_locks;
-  for (size_t i = 0; i < kNumShards; ++i) {
-    shard_locks[i] = std::unique_lock<std::mutex>(shards_[i].mu);
-  }
+  // All shard locks, so the budget check and victim ranking see one
+  // consistent map state.
+  auto shard_locks = LockAllShards();
   AssertByteAccountingLocked();
 
   // Claiming a victim = winning its kReady -> kEvicted transition; entries
@@ -1208,14 +1141,7 @@ void AggregateCacheManager::EvictIfNeeded(const CacheEntry* keep) {
     if (!entry->TryTransition(EntryState::kReady, EntryState::kEvicted)) {
       return false;
     }
-    {
-      std::lock_guard<std::mutex> bytes_lock(bytes_mu_);
-      if (entry->bytes_accounted) {
-        total_bytes_ -= entry->metrics().size_bytes;
-        MemoryTracker::Cache().Release(entry->metrics().size_bytes);
-        entry->bytes_accounted = false;
-      }
-    }
+    ReleaseEntryBytes(*entry);
     shard.entries.erase(it);
     EngineMetrics::Get().cache_evictions->Increment();
     return true;
@@ -1367,28 +1293,30 @@ void AggregateCacheManager::OnBeforeMerge(Table& table, size_t group_index,
     // replaced by its delta), computed while the delta still exists.
     JoinPruner pruner(db_, PruneLevel::kFull);
     std::vector<MdBinding> mds = ResolveMds(bound);
-    bool fold_failed = false;
+    std::vector<AggregateResult*> folded;
+    std::vector<Executor::SubjoinTask> tasks;
     for (auto& [combo, partial] : entry->main_partials()) {
       if (combo[table_pos].group != group_index) continue;
       SubjoinCombination delta_combo = combo;
       delta_combo[table_pos].kind = PartitionKind::kDelta;
       if (pruner.ShouldPrune(bound, mds, delta_combo).pruned) continue;
-      Status fold_fault = FaultInjector::Global().MaybeFail("maintenance.fold");
-      if (!fold_fault.ok()) {
-        RecordMaintenanceFailure(*entry, fold_fault);
-        fold_failed = true;
-        break;
-      }
-      auto partial_or =
-          executor_.ExecuteSubjoin(bound, delta_combo, snapshot);
-      if (!partial_or.ok()) {
-        RecordMaintenanceFailure(*entry, partial_or.status());
-        fold_failed = true;
-        break;
-      }
-      partial.MergeFrom(partial_or.value());
+      folded.push_back(&partial);
+      tasks.push_back({std::move(delta_combo), {}, {}});
     }
-    if (fold_failed) continue;
+    if (!tasks.empty()) {
+      Status fold_fault = FaultInjector::Global().MaybeFail("maintenance.fold");
+      auto deltas_or =
+          fold_fault.ok()
+              ? executor_.ExecuteSubjoins(bound, tasks, snapshot, "fold")
+              : StatusOr<std::vector<AggregateResult>>(fold_fault);
+      if (!deltas_or.ok()) {
+        RecordMaintenanceFailure(*entry, deltas_or.status());
+        continue;
+      }
+      for (size_t i = 0; i < tasks.size(); ++i) {
+        folded[i]->MergeFrom(deltas_or.value()[i]);
+      }
+    }
     RefreshEntrySize(*entry);
     CacheEntryMetrics::Add(entry->metrics().maintenance_ms,
                            watch.ElapsedMillis());

@@ -1,6 +1,7 @@
 #ifndef AGGCACHE_CACHE_AGGREGATE_CACHE_MANAGER_H_
 #define AGGCACHE_CACHE_AGGREGATE_CACHE_MANAGER_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -286,6 +287,17 @@ class AggregateCacheManager : public MergeObserver,
   /// Removes `entry` from its shard if still resident (deaccounting its
   /// bytes) — used when a build fails or admission rejects it.
   void RemoveEntry(const std::shared_ptr<CacheEntry>& entry);
+
+  /// Takes every shard mutex, in index order (the only multi-shard order).
+  std::array<std::unique_lock<std::mutex>, kNumShards> LockAllShards() const;
+
+  /// Deaccounts `entry`'s bytes if they are accounted. The caller holds the
+  /// entry's shard mutex (lock order: shard, then bytes_mu_).
+  void ReleaseEntryBytes(CacheEntry& entry);
+
+  /// Sum of size_bytes over accounted entries; the caller holds every shard
+  /// mutex and bytes_mu_.
+  size_t SumAccountedBytesLocked() const;
 
   /// All resident entries, for merge-time maintenance sweeps.
   std::vector<std::shared_ptr<CacheEntry>> SnapshotEntries() const;

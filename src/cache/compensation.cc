@@ -1,11 +1,8 @@
 #include "cache/compensation.h"
 
-#include "common/thread_pool.h"
 #include "objectaware/predicate_pushdown.h"
 #include "obs/engine_metrics.h"
-#include "obs/span.h"
 #include "obs/trace_recorder.h"
-#include "runtime/query_context.h"
 #include "verify/fault_injector.h"
 
 namespace aggcache {
@@ -19,11 +16,7 @@ StatusOr<AggregateResult> DeltaCompensate(Executor& executor,
   // Prune decisions (and pushdown derivation) stay on the calling thread:
   // they are cheap, and JoinPruner accumulates stats that must stay
   // race-free. Only the surviving subjoins fan out.
-  struct Subjoin {
-    SubjoinCombination combo;
-    std::vector<FilterPredicate> extra;
-  };
-  std::vector<Subjoin> subjoins;
+  std::vector<Executor::SubjoinTask> tasks;
   for (SubjoinCombination& combo :
        EnumerateCompensationCombinations(bound.tables)) {
     if (stats != nullptr) ++stats->subjoins_considered;
@@ -41,61 +34,27 @@ StatusOr<AggregateResult> DeltaCompensate(Executor& executor,
       }
     }
     RecordSubjoin(bound, mds, combo, "delta-compensation", decision, extra);
-    subjoins.push_back(Subjoin{std::move(combo), std::move(extra)});
+    tasks.push_back(Executor::SubjoinTask{std::move(combo), std::move(extra),
+                                          /*restriction=*/{}});
   }
 
-  std::vector<AggregateResult> partials(subjoins.size());
-  std::vector<ExecutorStats> task_stats(subjoins.size());
-  std::vector<Status> task_status(subjoins.size());
-  // Re-install the calling query's governance context on the pool workers —
-  // and the span parent, so each task shows up under this compensation in
-  // the trace tree.
-  QueryContext* ctx = QueryContext::Current();
-  SpanLink span_parent = CurrentSpanLink();
-  ParallelFor(subjoins.size(), [&](size_t i) {
-    ScopedQueryContext scope(ctx);
-    ScopedSpan task_span(SpanKind::kSubjoinTask, span_parent,
-                         "delta-comp");
-    // `cache.delta_comp` lets the harnesses hold a query inside delta
-    // compensation deterministically (kDelay) so the active-query registry
-    // and remote cancellation can be exercised against a live phase.
-    Status fault = FaultInjector::Global().MaybeFail("cache.delta_comp");
-    if (!fault.ok()) {
-      task_status[i] = fault;
-      return;
-    }
-    auto partial =
-        executor.ExecuteSubjoin(bound, subjoins[i].combo, snapshot,
-                                subjoins[i].extra,
-                                /*restriction=*/nullptr, &task_stats[i]);
-    if (partial.ok()) {
-      partials[i] = std::move(partial).value();
-    } else {
-      task_status[i] = partial.status();
-    }
-    // Progress accounting for the registry: one add per completed subjoin.
-    if (ctx != nullptr) ctx->AddRowsScanned(task_stats[i].rows_scanned);
-  });
-
-  // Counters merge all-or-none before any error check: each task already
-  // flushed into the global metrics registry, so dropping later tasks'
-  // stats on a mid-fanout failure would desynchronize the two.
-  Status first_error;
-  for (size_t i = 0; i < subjoins.size(); ++i) {
-    executor.stats().MergeFrom(task_stats[i]);
-    if (stats != nullptr) {
-      ++stats->subjoins_executed;
-      stats->rows_scanned += task_stats[i].rows_scanned;
-    }
-    if (first_error.ok() && !task_status[i].ok()) first_error = task_status[i];
+  AggregateResult result(bound.aggregates.size());
+  if (tasks.empty()) return result;
+  // `cache.delta_comp` lets the harnesses hold a query inside delta
+  // compensation deterministically (kDelay) so the active-query registry
+  // and remote cancellation can be exercised against a live phase.
+  RETURN_IF_ERROR(FaultInjector::Global().MaybeFail("cache.delta_comp"));
+  ExecutorStats total;
+  ASSIGN_OR_RETURN(
+      std::vector<AggregateResult> partials,
+      executor.ExecuteSubjoins(bound, tasks, snapshot, "delta-comp", &total));
+  if (stats != nullptr) {
+    stats->subjoins_executed += tasks.size();
+    stats->rows_scanned += total.rows_scanned;
   }
-  RETURN_IF_ERROR(first_error);
   // Merge in enumeration order so results are deterministic at any thread
   // count (floating-point sums are order-sensitive).
-  AggregateResult result(bound.aggregates.size());
-  for (size_t i = 0; i < subjoins.size(); ++i) {
-    result.MergeFrom(partials[i]);
-  }
+  for (const AggregateResult& partial : partials) result.MergeFrom(partial);
   return result;
 }
 

@@ -12,9 +12,10 @@
 namespace aggcache {
 
 /// Fixed-size worker pool used to fan out independent subjoin executions
-/// (delta compensation, uncached unions, entry rebuilds, and correction
-/// joins). The pool provides raw task submission; most callers go through
-/// TaskGroup or ParallelFor below.
+/// (Executor::ExecuteSubjoins: uncached unions, entry builds, delta
+/// compensation, correction joins and the merge fold). The pool provides
+/// raw task submission; most callers go through TaskGroup or ParallelFor
+/// below.
 ///
 /// Sizing convention: a pool constructed with parallelism P spawns P - 1
 /// worker threads, because the submitting thread always participates in

@@ -44,8 +44,8 @@ const char* SpanKindToString(SpanKind kind);
 /// Cross-thread parent handle: enough to reconstruct "this work belongs to
 /// that query, under that span" on a worker thread. A default-constructed
 /// link is unsampled and makes every span constructed from it a no-op, so
-/// fan-out sites capture one unconditionally (same discipline as the
-/// QueryContext* they already thread through ParallelFor).
+/// the subjoin fan-out captures one unconditionally (same discipline as the
+/// QueryContext* it re-installs on every worker).
 struct SpanLink {
   uint64_t query_id = 0;
   uint64_t span_id = 0;

@@ -478,32 +478,30 @@ StatusOr<AggregateResult> Executor::ExecuteUncached(
   return ExecuteUncachedBound(bound, snapshot);
 }
 
-StatusOr<AggregateResult> Executor::ExecuteUncachedBound(
-    const BoundQuery& bound, Snapshot snapshot) const {
-  std::vector<SubjoinCombination> combos =
-      EnumerateAllCombinations(bound.tables);
-  // Uncached unions execute every combination; the trace events (with tid
-  // ranges) are recorded here on the calling thread, before the fan-out.
-  RecordUncachedSubjoins(bound, combos);
-  std::vector<AggregateResult> partials(combos.size());
-  std::vector<ExecutorStats> task_stats(combos.size());
-  std::vector<Status> task_status(combos.size());
+StatusOr<std::vector<AggregateResult>> Executor::ExecuteSubjoins(
+    const BoundQuery& bound, const std::vector<SubjoinTask>& tasks,
+    Snapshot snapshot, const char* span_detail, ExecutorStats* total) const {
+  std::vector<AggregateResult> partials(tasks.size());
+  std::vector<ExecutorStats> task_stats(tasks.size());
+  std::vector<Status> task_status(tasks.size());
   // Pool workers have no thread-local context of their own; re-install the
   // caller's so budget charges and abort polls govern the whole fan-out,
   // and the caller's span so tasks land under its trace tree.
   QueryContext* ctx = QueryContext::Current();
   SpanLink span_parent = CurrentSpanLink();
-  ParallelFor(combos.size(), [&](size_t i) {
+  ParallelFor(tasks.size(), [&](size_t i) {
     ScopedQueryContext scope(ctx);
-    ScopedSpan task_span(SpanKind::kSubjoinTask, span_parent, "uncached");
+    ScopedSpan task_span(SpanKind::kSubjoinTask, span_parent, span_detail);
     auto partial =
-        ExecuteSubjoin(bound, combos[i], snapshot, /*extra_filters=*/{},
-                       /*restriction=*/nullptr, &task_stats[i]);
+        ExecuteSubjoin(bound, tasks[i].combo, snapshot, tasks[i].extra_filters,
+                       &tasks[i].restriction, &task_stats[i]);
     if (partial.ok()) {
       partials[i] = std::move(partial).value();
     } else {
       task_status[i] = partial.status();
     }
+    // Progress accounting for the registry: one add per finished subjoin.
+    if (ctx != nullptr) ctx->AddRowsScanned(task_stats[i].rows_scanned);
   });
   // Merge the per-task counters all-or-none before inspecting task status:
   // every task already flushed into the global metrics registry from its
@@ -511,15 +509,31 @@ StatusOr<AggregateResult> Executor::ExecuteUncachedBound(
   // shared stats short of the registry and break reconciliation under fault
   // injection.
   Status first_error;
-  for (size_t i = 0; i < combos.size(); ++i) {
+  for (size_t i = 0; i < tasks.size(); ++i) {
     stats_.MergeFrom(task_stats[i]);
+    if (total != nullptr) total->MergeFrom(task_stats[i]);
     if (first_error.ok() && !task_status[i].ok()) first_error = task_status[i];
   }
   RETURN_IF_ERROR(first_error);
-  AggregateResult result(bound.aggregates.size());
-  for (size_t i = 0; i < combos.size(); ++i) {
-    result.MergeFrom(partials[i]);
+  return partials;
+}
+
+StatusOr<AggregateResult> Executor::ExecuteUncachedBound(
+    const BoundQuery& bound, Snapshot snapshot) const {
+  std::vector<SubjoinCombination> combos =
+      EnumerateAllCombinations(bound.tables);
+  // Uncached unions execute every combination; the trace events (with tid
+  // ranges) are recorded here on the calling thread, before the fan-out.
+  RecordUncachedSubjoins(bound, combos);
+  std::vector<SubjoinTask> tasks;
+  tasks.reserve(combos.size());
+  for (SubjoinCombination& combo : combos) {
+    tasks.push_back(SubjoinTask{std::move(combo), {}, {}});
   }
+  ASSIGN_OR_RETURN(std::vector<AggregateResult> partials,
+                   ExecuteSubjoins(bound, tasks, snapshot, "uncached"));
+  AggregateResult result(bound.aggregates.size());
+  for (const AggregateResult& partial : partials) result.MergeFrom(partial);
   // HAVING applies to whole groups, so only after every subjoin is merged.
   return bound.query->ApplyHaving(std::move(result));
 }

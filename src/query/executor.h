@@ -169,11 +169,12 @@ struct SharedExecutorStats {
 /// Threading model: ExecuteSubjoin is const and re-entrant — concurrent
 /// calls on one instance are safe as long as each passes its own
 /// ExecutorStats out-parameter (with `stats == nullptr` the call falls back
-/// to the shared member counters and must not run concurrently). Top-level
-/// entry points (ExecuteUncached and the cache manager) fan subjoins out
-/// across the global ThreadPool with per-task stats and merge both results
-/// and counters in enumeration order, so results and stats are
-/// deterministic at any thread count.
+/// to the shared member counters and must not run concurrently). Every
+/// subjoin set the engine runs — uncached unions, entry builds, delta
+/// compensation, main correction and the merge fold — fans out through
+/// ExecuteSubjoins, which returns partials in task order so callers merge
+/// them in enumeration order and results are deterministic at any thread
+/// count.
 class Executor {
  public:
   explicit Executor(const Database* db) : db_(db) {}
@@ -204,6 +205,27 @@ class Executor {
       const std::vector<FilterPredicate>& extra_filters = {},
       const RowRestriction* restriction = nullptr,
       ExecutorStats* stats = nullptr) const;
+
+  /// One subjoin of a fan-out. An empty `restriction` leaves every table
+  /// unrestricted.
+  struct SubjoinTask {
+    SubjoinCombination combo;
+    std::vector<FilterPredicate> extra_filters;
+    RowRestriction restriction;
+  };
+
+  /// The subjoin fan-out: runs every task across the global ThreadPool,
+  /// each on a worker that carries the caller's QueryContext and a
+  /// kSubjoinTask span (detail `span_detail`) under the caller's span, and
+  /// adds each finished task's rows scanned to that QueryContext. Per-task
+  /// counters merge into stats() — and into `total` when given —
+  /// all-or-none before any error check, because every task already
+  /// flushed them into the metrics registry. Returns the first failed
+  /// task's status, or one partial per task in task order.
+  StatusOr<std::vector<AggregateResult>> ExecuteSubjoins(
+      const BoundQuery& bound, const std::vector<SubjoinTask>& tasks,
+      Snapshot snapshot, const char* span_detail,
+      ExecutorStats* total = nullptr) const;
 
   /// Uncached execution (Section 2.3.1): evaluates and unions every
   /// partition combination, fanning the subjoins out across the global

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/logging.h"
 #include "obs/span.h"
@@ -13,14 +11,8 @@
 namespace aggcache {
 namespace {
 
-// -1 = follow the env flag; 0/1 = forced by OverrideEnabledForTest.
+// -1 = the default (on); 0/1 = forced by OverrideEnabledForTest.
 std::atomic<int> g_enabled_override{-1};
-
-bool EnabledFromEnv() {
-  const char* env = std::getenv("AGGCACHE_SHARED_SCAN");
-  if (env == nullptr) return true;
-  return std::strcmp(env, "off") != 0 && std::strcmp(env, "0") != 0;
-}
 
 }  // namespace
 
@@ -30,10 +22,7 @@ SharedScanManager& SharedScanManager::Instance() {
 }
 
 bool SharedScanManager::Enabled() {
-  int override = g_enabled_override.load(std::memory_order_relaxed);
-  if (override >= 0) return override != 0;
-  static const bool from_env = EnabledFromEnv();
-  return from_env;
+  return g_enabled_override.load(std::memory_order_relaxed) != 0;
 }
 
 void SharedScanManager::OverrideEnabledForTest(int enabled) {

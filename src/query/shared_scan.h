@@ -30,8 +30,6 @@ namespace aggcache {
 /// Selection vectors come back in ascending row order exactly as a solo
 /// SelectRowsRange would produce, so downstream join/aggregation results
 /// (including float summation order) are unchanged.
-///
-/// Disabled with AGGCACHE_SHARED_SCAN=off|0 (default on).
 class SharedScanManager {
  public:
   /// Partitions smaller than this scan faster than the coordination costs.
@@ -45,10 +43,10 @@ class SharedScanManager {
 
   static SharedScanManager& Instance();
 
-  /// True when shared scans are enabled (env flag or test override).
+  /// True unless a test turned shared scans off.
   static bool Enabled();
 
-  /// Test hook: 0 = force off, 1 = force on, -1 = follow the env flag.
+  /// Test hook: 0 = force off, 1 = force on, -1 = the default (on).
   static void OverrideEnabledForTest(int enabled);
 
   /// Scans all rows of `p` through `in`, appending passing row ids to

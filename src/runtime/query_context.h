@@ -34,8 +34,9 @@ const char* QueryAbortReasonToString(QueryAbortReason reason);
 /// group-by flush) via Check(), which converts the abort into a typed
 /// Status (kCancelled / kDeadlineExceeded / kResourceExhausted). Whichever
 /// thread observes the abort first records it; every sibling task then
-/// unwinds at its next check, and the fan-out sites merge partial stats
-/// all-or-none exactly as on the error paths.
+/// unwinds at its next check, and the subjoin fan-out
+/// (Executor::ExecuteSubjoins) merges partial stats all-or-none exactly as
+/// on the error paths.
 ///
 /// Memory charges go through MemoryTracker::Queries(): a charge that would
 /// exceed the per-query budget or any tracker limit aborts the query with
@@ -121,8 +122,8 @@ class QueryContext {
   }
 
   /// The context installed on this thread (nullptr outside any query).
-  /// Fan-out sites capture Current() and re-install it on pool workers
-  /// with ScopedQueryContext.
+  /// The subjoin fan-out (Executor::ExecuteSubjoins) captures Current()
+  /// and re-installs it on pool workers with ScopedQueryContext.
   static QueryContext* Current();
 
   /// Check() on the installed context; OK when none is installed.

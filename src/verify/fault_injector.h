@@ -28,17 +28,21 @@ namespace aggcache {
 ///   maintenance.bind        Merge-time query re-bind against the catalog.
 ///   maintenance.compensate  Merge-time main compensation of an entry.
 ///   maintenance.rebuild     Merge-time rebuild of a stale-shaped entry.
-///   maintenance.fold        Folding the merging delta into a cached partial.
+///   maintenance.fold        Folding the merging delta into an entry's
+///                           partials, once per entry before the fold's
+///                           subjoins fan out.
 ///   cache.build             Entry materialization (RebuildEntry), covering
 ///                           both the single-flight creator and rebuilds.
 ///   cache.evict_all         EvictIfNeeded; firing simulates memory pressure
 ///                           by dropping every evictable entry.
-///   cache.delta_comp        Each delta-compensation subjoin task, before it
-///                           executes. Armed as kDelay it holds queries
-///                           inside the phase (how the tests park a query so
-///                           the active-query registry and remote cancel can
-///                           observe it mid-flight); as kError it fails the
-///                           fan-out.
+///   cache.delta_comp        Delta compensation, once on the calling thread
+///                           before its surviving subjoins fan out (not
+///                           consulted when every subjoin was pruned). Armed
+///                           as kDelay it holds queries inside the phase
+///                           (how the tests park a query so the active-query
+///                           registry and remote cancel can observe it
+///                           mid-flight); as kError it fails the
+///                           compensation.
 ///   runtime.alloc           QueryContext::ChargeMemory; firing simulates a
 ///                           refused reservation — the query aborts with a
 ///                           typed kResourceExhausted and must unwind with

@@ -109,8 +109,9 @@ TEST_F(ActiveQueryTest, ParkedQueryIsVisibleAndRemotelyCancellable) {
     ASSERT_OK(testing_util::InsertBusinessObject(
         &db_, header_, item_, h, 2014, 2, 5.0, &next_item_id_));
   }
-  // Park every delta-compensation subjoin task for 3 s: long enough for
-  // the registry poll + cancel below, far below the test timeout.
+  // Park the query's calling thread once, just before its delta
+  // compensation fans out, for 3 s: long enough for the registry poll +
+  // cancel below, far below the test timeout.
   ASSERT_OK(FaultInjector::Global().ArmFromSpec(
       "cache.delta_comp:delay:3000"));
 

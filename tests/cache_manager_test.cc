@@ -4,6 +4,7 @@
 #include "obs/engine_metrics.h"
 #include "obs/query_trace.h"
 #include "obs/span.h"
+#include "runtime/query_context.h"
 #include "tests/test_util.h"
 
 namespace aggcache {
@@ -352,6 +353,30 @@ TEST_F(CacheManagerTest, FirstBuildSeedsRebuildEwmaWithTheBuildTime) {
   EXPECT_GT(ledger[0].main_exec_ms, 0.0);
   EXPECT_EQ(ledger[0].ewma_rebuild_ms, ledger[0].main_exec_ms);
   EXPECT_EQ(cache_->last_exec_stats().main_exec_ms, ledger[0].main_exec_ms);
+}
+
+TEST_F(CacheManagerTest, QueryContextCountsEveryScannedRow) {
+  // rows_scanned() sums every fan-out task of the query, whichever phase
+  // ran it: the uncached union, and a miss that builds the entry over all
+  // mains and then compensates the delta.
+  ASSERT_OK(testing_util::InsertBusinessObject(&db_, header_, item_, 11,
+                                               2014, 2, 5.0,
+                                               &next_item_id_));
+  const Counter* scanned = EngineMetrics::Get().exec_rows_scanned;
+  for (ExecutionStrategy strategy :
+       {ExecutionStrategy::kUncached, ExecutionStrategy::kCachedFullPruning}) {
+    QueryContext ctx;
+    ScopedQueryContext scope(&ctx);
+    ExecutionOptions options;
+    options.strategy = strategy;
+    uint64_t before = scanned->Value();
+    Transaction txn = db_.Begin();
+    ASSERT_TRUE(cache_->Execute(query_, txn, options).ok());
+    EXPECT_GT(ctx.rows_scanned(), 0u) << ExecutionStrategyToString(strategy);
+    EXPECT_EQ(ctx.rows_scanned(), scanned->Value() - before)
+        << ExecutionStrategyToString(strategy);
+  }
+  EXPECT_TRUE(cache_->last_exec_stats().entry_created);
 }
 
 TEST_F(CacheManagerTest, ReaderOlderThanEntryFallsBackUncached) {

@@ -8,12 +8,15 @@
 #include "obs/query_trace.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "common/string_util.h"
 #include "obs/engine_metrics.h"
+#include "obs/slow_log.h"
 #include "query/subjoin.h"
 #include "tests/test_util.h"
 
@@ -433,6 +436,33 @@ TEST_F(ExplainTraceTest, UncachedStrategyTracesAllCombinations) {
   }
   EXPECT_EQ(combos.size(), 8u);
   EXPECT_EQ(after.exec_subjoins - before.exec_subjoins, 8u);
+}
+
+TEST_F(ExplainTraceTest, SlowLogRecordAndItsTraceShareOneClock) {
+  // One clock read times the query: the slow-query record's elapsed_ms and
+  // the total_ms of the trace embedded in it are the same value.
+  SlowQueryLog& log = SlowQueryLog::Global();
+  SlowQueryLog::Options every_query;
+  every_query.threshold_ms = 1e-6;
+  log.Configure(every_query);
+  QueryTrace trace;
+  auto result = RunTraced(ExecutionOptions(), &trace);
+  std::string dump = log.DumpJson();
+  log.ResetForTest();
+  ASSERT_TRUE(result.ok()) << result.status();
+
+  auto number_after = [&dump](const std::string& field) {
+    size_t at = dump.find("\"" + field + "\":");
+    EXPECT_NE(at, std::string::npos) << field << " missing in " << dump;
+    return at == std::string::npos
+               ? -1.0
+               : std::strtod(dump.c_str() + at + field.size() + 3, nullptr);
+  };
+  double elapsed_ms = number_after("elapsed_ms");
+  double total_ms = number_after("total_ms");
+  EXPECT_GT(elapsed_ms, 0.0);
+  EXPECT_EQ(elapsed_ms, total_ms) << dump;
+  EXPECT_EQ(StrFormat("%.3f", trace.total_ms), StrFormat("%.3f", elapsed_ms));
 }
 
 TEST_F(ExplainTraceTest, UntracedExecutionRecordsNothing) {

@@ -160,7 +160,7 @@ TEST_F(SharedScanTest, EnabledOverrideControlsGate) {
   SharedScanManager::OverrideEnabledForTest(1);
   EXPECT_TRUE(SharedScanManager::Enabled());
   SharedScanManager::OverrideEnabledForTest(-1);
-  // Default (no AGGCACHE_SHARED_SCAN in the test environment): enabled.
+  // Default: enabled.
   EXPECT_TRUE(SharedScanManager::Enabled());
 }
 

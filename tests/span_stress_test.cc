@@ -89,9 +89,12 @@ TEST(SpanStressTest, HarvestingWhileWritingNeverYieldsTornSlots) {
   constexpr uint64_t kPerThread = 20000;
   SpanRecorder recorder(StressOptions(256, kThreads + 1));
   std::atomic<bool> done{false};
+  // Writers start once the harvester runs, so the two really race.
+  std::latch harvester_running(1);
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&recorder, t] {
+    writers.emplace_back([&recorder, &harvester_running, t] {
+      harvester_running.wait();
       const uint64_t tag = static_cast<uint64_t>(t);
       for (uint64_t i = 0; i < kPerThread; ++i) {
         uint64_t now = recorder.NowMicros();
@@ -101,8 +104,12 @@ TEST(SpanStressTest, HarvestingWhileWritingNeverYieldsTornSlots) {
     });
   }
   uint64_t harvested = 0;
-  std::thread harvester([&recorder, &done, &harvested] {
-    while (!done.load(std::memory_order_acquire)) {
+  std::thread harvester([&recorder, &done, &harvested, &harvester_running] {
+    harvester_running.count_down();
+    // One last pass after the writers finish, so the harvester always
+    // collects at least once with every span published.
+    for (bool last = false; !last;) {
+      last = done.load(std::memory_order_acquire);
       std::vector<SpanRecorder::Span> spans = recorder.Collect(512);
       harvested += spans.size();
       for (const SpanRecorder::Span& span : spans) {

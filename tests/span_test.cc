@@ -448,7 +448,7 @@ TEST_F(SpanTreeTest, QueryTreeReconcilesWithQueryTrace) {
             static_cast<uint64_t>(root->dur_us * 0.80))
       << "span tree explains too little of the query latency";
   // And the root must cover what the QueryTrace measured end-to-end
-  // (the root starts before ExecuteInternal's total_watch).
+  // (the root starts before Execute's one clock read).
   EXPECT_GE(static_cast<double>(root->dur_us) + 200.0,
             trace.total_ms * 1000.0);
 }
