@@ -792,10 +792,11 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
     CacheExecStats* stats, PruneStats* prune_acc) {
   const EngineMetrics& metrics = EngineMetrics::Get();
   QueryTrace* trace = TraceContext::Current();
-  // The subjoin count is exact single-threaded; under concurrent Execute
-  // calls the shared counter makes the delta approximate (observability
-  // only, never correctness).
-  uint64_t subjoins_before = executor_.stats().Snapshot().subjoins_executed;
+  // This query's own fan-outs count its subjoins into its QueryContext
+  // (installed by Execute), so concurrent queries never leak into the
+  // count. The difference covers a caller that reuses one context.
+  QueryContext* ctx = QueryContext::Current();
+  const uint64_t subjoins_before = ctx->subjoins_executed();
 
   // The lookup phase covers bind + consistent-view acquisition + entry
   // resolution + main repair; it ends before delta compensation (or the
@@ -843,8 +844,7 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
     PhaseScope exec_phase(SpanKind::kUncachedExec);
     ASSIGN_OR_RETURN(AggregateResult result,
                      executor_.ExecuteUncachedBound(bound, snapshot));
-    stats->subjoins_executed =
-        executor_.stats().Snapshot().subjoins_executed - subjoins_before;
+    stats->subjoins_executed = ctx->subjoins_executed() - subjoins_before;
     return result;
   }
   TouchEntry(*entry);
@@ -914,8 +914,7 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
 
   stats->delta_comp_ms = delta_ms;
   stats->subjoins_pruned = comp_stats.subjoins_pruned;
-  stats->subjoins_executed =
-      executor_.stats().Snapshot().subjoins_executed - subjoins_before;
+  stats->subjoins_executed = ctx->subjoins_executed() - subjoins_before;
   *prune_acc += pruner.stats();
 
   // Exactly one of two sites counts each consulted lookup (here, or the

@@ -10,7 +10,6 @@
 #include "obs/engine_metrics.h"
 #include "obs/span.h"
 #include "obs/trace_recorder.h"
-#include "query/shared_scan.h"
 #include "query/vector_kernels.h"
 #include "runtime/query_context.h"
 
@@ -88,10 +87,9 @@ StatusOr<AggregateResult> Executor::ExecuteSubjoin(
     return Status::InvalidArgument("combination arity mismatch");
   }
   // Counters accumulate locally and flush on every return path: into the
-  // caller's per-task block when given (parallel callers must pass one),
-  // into the atomic shared stats otherwise, and always into the global
-  // metrics registry — relaxed atomics, so the flush is lock-free even
-  // from pool workers.
+  // caller's per-task block when given, into the mutex-guarded shared stats
+  // otherwise, and always into the global metrics registry — relaxed
+  // atomics, so the registry flush is lock-free even from pool workers.
   ExecutorStats counters;
   // Governance: the installed QueryContext (if any) is polled per kernel
   // block inside the selection loops, per kSelectionBlockRows iterations in
@@ -120,8 +118,6 @@ StatusOr<AggregateResult> Executor::ExecuteSubjoin(
       metrics.exec_code_joins->Increment(local->code_joins);
       metrics.exec_packed_groupings->Increment(local->packed_groupings);
       metrics.exec_fallback_groupings->Increment(local->fallback_groupings);
-      metrics.sharedscan_leads->Increment(local->shared_scan_leads);
-      metrics.sharedscan_attaches->Increment(local->shared_scan_attaches);
       if (caller != nullptr) {
         caller->MergeFrom(*local);
       } else {
@@ -180,9 +176,7 @@ StatusOr<AggregateResult> Executor::ExecuteSubjoin(
   // Selection runs through the batched code-space kernels: filters compile
   // once per table (sorted main -> contiguous code ranges; delta equality
   // -> a single code; value comparison otherwise), then 1024-row blocks
-  // stream through tight loops over dictionary codes. Unrestricted scans of
-  // sizable delta partitions coalesce into cooperative shared scans when
-  // other queries are walking the same partition concurrently.
+  // stream through tight loops over dictionary codes.
   auto select_rows = [&](size_t t) {
     Selection& sel = selections[t];
     const Partition& p = *sel.partition;
@@ -218,18 +212,8 @@ StatusOr<AggregateResult> Executor::ExecuteSubjoin(
           SelectRowsGather(p, input, *candidates, &sel.rows);
     } else {
       counters.rows_scanned += p.num_rows();
-      if (p.kind() == PartitionKind::kDelta &&
-          p.num_rows() >= SharedScanManager::kMinRows &&
-          SharedScanManager::Enabled()) {
-        SharedScanManager::Result shared =
-            SharedScanManager::Instance().Scan(p, input, &sel.rows);
-        counters.selection_batches += shared.batches;
-        counters.shared_scan_leads += shared.led ? 1 : 0;
-        counters.shared_scan_attaches += shared.attached ? 1 : 0;
-      } else {
-        counters.selection_batches += SelectRowsRange(
-            p, input, 0, static_cast<uint32_t>(p.num_rows()), &sel.rows);
-      }
+      counters.selection_batches += SelectRowsRange(
+          p, input, 0, static_cast<uint32_t>(p.num_rows()), &sel.rows);
     }
     counters.rows_selected += sel.rows.size();
   };
@@ -500,20 +484,26 @@ StatusOr<std::vector<AggregateResult>> Executor::ExecuteSubjoins(
     } else {
       task_status[i] = partial.status();
     }
-    // Progress accounting for the registry: one add per finished subjoin.
-    if (ctx != nullptr) ctx->AddRowsScanned(task_stats[i].rows_scanned);
+    // Per-query accounting (registry progress, CacheExecStats): one add
+    // per finished subjoin.
+    if (ctx != nullptr) {
+      ctx->AddSubjoinsExecuted(task_stats[i].subjoins_executed);
+      ctx->AddRowsScanned(task_stats[i].rows_scanned);
+    }
   });
   // Merge the per-task counters all-or-none before inspecting task status:
   // every task already flushed into the global metrics registry from its
   // worker, so skipping later tasks on a mid-fanout failure would leave the
   // shared stats short of the registry and break reconciliation under fault
   // injection.
+  ExecutorStats fanout;
   Status first_error;
   for (size_t i = 0; i < tasks.size(); ++i) {
-    stats_.MergeFrom(task_stats[i]);
-    if (total != nullptr) total->MergeFrom(task_stats[i]);
+    fanout.MergeFrom(task_stats[i]);
     if (first_error.ok() && !task_status[i].ok()) first_error = task_status[i];
   }
+  stats_.MergeFrom(fanout);
+  if (total != nullptr) total->MergeFrom(fanout);
   RETURN_IF_ERROR(first_error);
   return partials;
 }

@@ -1,7 +1,7 @@
 #ifndef AGGCACHE_QUERY_EXECUTOR_H_
 #define AGGCACHE_QUERY_EXECUTOR_H_
 
-#include <atomic>
+#include <mutex>
 #include <vector>
 
 #include "query/aggregate_query.h"
@@ -69,9 +69,6 @@ struct ExecutorStats {
   uint64_t packed_groupings = 0;
   /// Aggregations that fell back to materialized group keys (> 64 bits).
   uint64_t fallback_groupings = 0;
-  /// Cooperative delta scans this executor led / attached to.
-  uint64_t shared_scan_leads = 0;
-  uint64_t shared_scan_attaches = 0;
 
   void Reset() { *this = ExecutorStats(); }
 
@@ -86,80 +83,33 @@ struct ExecutorStats {
     code_joins += other.code_joins;
     packed_groupings += other.packed_groupings;
     fallback_groupings += other.fallback_groupings;
-    shared_scan_leads += other.shared_scan_leads;
-    shared_scan_attaches += other.shared_scan_attaches;
   }
 };
 
-/// The executor's shared counters: same fields as ExecutorStats, but atomic
-/// so concurrent top-level executions on one Executor can all feed them.
-/// Relaxed ordering — these are statistics, not synchronization. Reads
-/// convert implicitly, so `executor.stats().subjoins_executed` keeps
-/// working in tests and benches.
-struct SharedExecutorStats {
-  std::atomic<uint64_t> subjoins_executed{0};
-  std::atomic<uint64_t> rows_scanned{0};
-  std::atomic<uint64_t> rows_selected{0};
-  std::atomic<uint64_t> tuples_joined{0};
-  std::atomic<uint64_t> selection_batches{0};
-  std::atomic<uint64_t> code_joins{0};
-  std::atomic<uint64_t> packed_groupings{0};
-  std::atomic<uint64_t> fallback_groupings{0};
-  std::atomic<uint64_t> shared_scan_leads{0};
-  std::atomic<uint64_t> shared_scan_attaches{0};
-
+/// The executor's shared counters: one ExecutorStats behind a mutex, so
+/// concurrent top-level executions on one Executor can all feed it. The
+/// mutex is taken once per fan-out merge (and once per solo ExecuteSubjoin
+/// without a caller stats block); readers take one coherent Snapshot().
+class SharedExecutorStats {
+ public:
   void Reset() {
-    subjoins_executed.store(0, std::memory_order_relaxed);
-    rows_scanned.store(0, std::memory_order_relaxed);
-    rows_selected.store(0, std::memory_order_relaxed);
-    tuples_joined.store(0, std::memory_order_relaxed);
-    selection_batches.store(0, std::memory_order_relaxed);
-    code_joins.store(0, std::memory_order_relaxed);
-    packed_groupings.store(0, std::memory_order_relaxed);
-    fallback_groupings.store(0, std::memory_order_relaxed);
-    shared_scan_leads.store(0, std::memory_order_relaxed);
-    shared_scan_attaches.store(0, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.Reset();
   }
 
   void MergeFrom(const ExecutorStats& other) {
-    subjoins_executed.fetch_add(other.subjoins_executed,
-                                std::memory_order_relaxed);
-    rows_scanned.fetch_add(other.rows_scanned, std::memory_order_relaxed);
-    rows_selected.fetch_add(other.rows_selected, std::memory_order_relaxed);
-    tuples_joined.fetch_add(other.tuples_joined, std::memory_order_relaxed);
-    selection_batches.fetch_add(other.selection_batches,
-                                std::memory_order_relaxed);
-    code_joins.fetch_add(other.code_joins, std::memory_order_relaxed);
-    packed_groupings.fetch_add(other.packed_groupings,
-                               std::memory_order_relaxed);
-    fallback_groupings.fetch_add(other.fallback_groupings,
-                                 std::memory_order_relaxed);
-    shared_scan_leads.fetch_add(other.shared_scan_leads,
-                                std::memory_order_relaxed);
-    shared_scan_attaches.fetch_add(other.shared_scan_attaches,
-                                   std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.MergeFrom(other);
   }
 
-  /// One coherent copy of all four counters. Callers that dump or diff
-  /// stats should snapshot once instead of reading fields one by one, so
-  /// the reported set comes from a single point in time (each field is
-  /// still a relaxed load; the snapshot is consistent for quiesced
-  /// executors and self-consistent code, not a fence).
   ExecutorStats Snapshot() const {
-    ExecutorStats s;
-    s.subjoins_executed = subjoins_executed.load(std::memory_order_relaxed);
-    s.rows_scanned = rows_scanned.load(std::memory_order_relaxed);
-    s.rows_selected = rows_selected.load(std::memory_order_relaxed);
-    s.tuples_joined = tuples_joined.load(std::memory_order_relaxed);
-    s.selection_batches = selection_batches.load(std::memory_order_relaxed);
-    s.code_joins = code_joins.load(std::memory_order_relaxed);
-    s.packed_groupings = packed_groupings.load(std::memory_order_relaxed);
-    s.fallback_groupings = fallback_groupings.load(std::memory_order_relaxed);
-    s.shared_scan_leads = shared_scan_leads.load(std::memory_order_relaxed);
-    s.shared_scan_attaches =
-        shared_scan_attaches.load(std::memory_order_relaxed);
-    return s;
+    std::lock_guard<std::mutex> lock(mu_);
+    return stats_;
   }
+
+ private:
+  mutable std::mutex mu_;
+  ExecutorStats stats_;
 };
 
 /// Aggregate query executor over the main-delta columnar store: per-table
@@ -167,9 +117,9 @@ struct SharedExecutorStats {
 /// hash joins in query-table order, and hash aggregation.
 ///
 /// Threading model: ExecuteSubjoin is const and re-entrant — concurrent
-/// calls on one instance are safe as long as each passes its own
-/// ExecutorStats out-parameter (with `stats == nullptr` the call falls back
-/// to the shared member counters and must not run concurrently). Every
+/// calls on one instance are safe; each call's counters go to its own
+/// ExecutorStats out-parameter when given, into the mutex-guarded stats()
+/// otherwise. Every
 /// subjoin set the engine runs — uncached unions, entry builds, delta
 /// compensation, main correction and the merge fold — fans out through
 /// ExecuteSubjoins, which returns partials in task order so callers merge
@@ -197,8 +147,7 @@ class Executor {
   /// `extra_filters` carries pushed-down predicates (Section 5.3) that
   /// apply only to this subjoin; `restriction`, when non-null, limits the
   /// candidate rows per table. Work counters accumulate into `stats` when
-  /// given, otherwise into the shared stats() member; parallel callers must
-  /// pass a per-task block.
+  /// given, otherwise into the shared stats() member.
   StatusOr<AggregateResult> ExecuteSubjoin(
       const BoundQuery& bound, const SubjoinCombination& combination,
       Snapshot snapshot,
@@ -217,10 +166,10 @@ class Executor {
   /// The subjoin fan-out: runs every task across the global ThreadPool,
   /// each on a worker that carries the caller's QueryContext and a
   /// kSubjoinTask span (detail `span_detail`) under the caller's span, and
-  /// adds each finished task's rows scanned to that QueryContext. Per-task
-  /// counters merge into stats() — and into `total` when given —
-  /// all-or-none before any error check, because every task already
-  /// flushed them into the metrics registry. Returns the first failed
+  /// adds each finished task's subjoin and rows scanned to that
+  /// QueryContext. Per-task counters merge into stats() — and into `total`
+  /// when given — all-or-none before any error check, because every task
+  /// already flushed them into the metrics registry. Returns the first failed
   /// task's status, or one partial per task in task order.
   StatusOr<std::vector<AggregateResult>> ExecuteSubjoins(
       const BoundQuery& bound, const std::vector<SubjoinTask>& tasks,
@@ -243,8 +192,7 @@ class Executor {
  private:
   const Database* db_;
   /// Mutable so the const, re-entrant execution paths can keep feeding the
-  /// shared counters that benches and the cache manager read. Atomic fields
-  /// make the accumulation safe under concurrent top-level executions.
+  /// shared counters that tests read.
   mutable SharedExecutorStats stats_;
 };
 

@@ -121,6 +121,15 @@ class QueryContext {
     return rows_scanned_.load(std::memory_order_relaxed);
   }
 
+  /// Subjoins this query's fan-outs executed, added the same way; the
+  /// cache manager reports the count in CacheExecStats.
+  void AddSubjoinsExecuted(uint64_t subjoins) {
+    subjoins_executed_.fetch_add(subjoins, std::memory_order_relaxed);
+  }
+  uint64_t subjoins_executed() const {
+    return subjoins_executed_.load(std::memory_order_relaxed);
+  }
+
   /// The context installed on this thread (nullptr outside any query).
   /// The subjoin fan-out (Executor::ExecuteSubjoins) captures Current()
   /// and re-installs it on pool workers with ScopedQueryContext.
@@ -146,6 +155,7 @@ class QueryContext {
   std::atomic<size_t> memory_used_{0};
   std::atomic<size_t> memory_high_water_{0};
   std::atomic<uint64_t> rows_scanned_{0};
+  std::atomic<uint64_t> subjoins_executed_{0};
 };
 
 /// RAII installation of a QueryContext as the thread's Current(). Used by

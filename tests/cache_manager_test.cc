@@ -1,11 +1,16 @@
 #include "cache/aggregate_cache_manager.h"
 
+#include <chrono>
+#include <thread>
+
 #include "gtest/gtest.h"
+#include "obs/active_queries.h"
 #include "obs/engine_metrics.h"
 #include "obs/query_trace.h"
 #include "obs/span.h"
 #include "runtime/query_context.h"
 #include "tests/test_util.h"
+#include "verify/fault_injector.h"
 
 namespace aggcache {
 namespace {
@@ -377,6 +382,47 @@ TEST_F(CacheManagerTest, QueryContextCountsEveryScannedRow) {
         << ExecutionStrategyToString(strategy);
   }
   EXPECT_TRUE(cache_->last_exec_stats().entry_created);
+}
+
+TEST_F(CacheManagerTest, SubjoinCountIgnoresConcurrentQueries) {
+  // A query counts only the subjoins of its own fan-outs: an uncached query
+  // that runs while a hit is parked in delta compensation must not leak its
+  // subjoins into the hit's count.
+  Transaction warm = db_.Begin();
+  ASSERT_TRUE(cache_->Execute(query_, warm).ok());
+  ASSERT_OK(testing_util::InsertBusinessObject(&db_, header_, item_, 11,
+                                               2014, 2, 5.0,
+                                               &next_item_id_));
+  Transaction serial_txn = db_.Begin();
+  ASSERT_TRUE(cache_->Execute(query_, serial_txn).ok());
+  ASSERT_TRUE(cache_->last_exec_stats().cache_hit);
+  const uint64_t serial_subjoins = cache_->last_exec_stats().subjoins_executed;
+  ASSERT_GT(serial_subjoins, 0u);
+
+  // Park the same hit once, just before its delta compensation fans out.
+  FaultInjector& faults = FaultInjector::Global();
+  ASSERT_OK(faults.ArmFromSpec("cache.delta_comp:delay:2000"));
+  std::thread parked([&] {
+    Transaction txn = db_.Begin();
+    EXPECT_TRUE(cache_->Execute(query_, txn).ok());
+  });
+  while (faults.stats("cache.delta_comp").hits == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ExecutionOptions uncached;
+  uncached.strategy = ExecutionStrategy::kUncached;
+  Transaction txn = db_.Begin();
+  EXPECT_TRUE(cache_->Execute(query_, txn, uncached).ok());
+  EXPECT_GT(cache_->last_exec_stats().subjoins_executed, 0u);
+  const bool hit_still_parked =
+      ActiveQueryRegistry::Global().active_count() == 1;
+  parked.join();
+  faults.DisarmAll();
+
+  // The uncached query ran entirely inside the hit's execution.
+  ASSERT_TRUE(hit_still_parked);
+  ASSERT_TRUE(cache_->last_exec_stats().cache_hit);
+  EXPECT_EQ(cache_->last_exec_stats().subjoins_executed, serial_subjoins);
 }
 
 TEST_F(CacheManagerTest, ReaderOlderThanEntryFallsBackUncached) {
