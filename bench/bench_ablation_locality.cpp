@@ -43,7 +43,7 @@ void Run(BenchContext& ctx) {
     config.num_headers_main = headers_main;
     config.num_categories = 50;
     ErpDataset dataset = CheckOk(ErpDataset::Create(&db, config), "erp");
-    AggregateCacheManager cache(&db);
+    AggregateCacheManager cache(&db, PaperCacheConfig());
     AggregateQuery query = dataset.ProfitByCategoryQuery(2013);
     CheckOk(cache.Prewarm(query), "prewarm");
 

@@ -74,7 +74,7 @@ void Run(BenchContext& ctx) {
   for (bool synchronized_merges : {true, false}) {
     Scenario scenario = BuildScenario(synchronized_merges);
     Database& db = *scenario.db;
-    AggregateCacheManager cache(&db);
+    AggregateCacheManager cache(&db, PaperCacheConfig());
     AggregateQuery query = scenario.dataset->ProfitByCategoryQuery(2013);
     CheckOk(cache.Prewarm(query), "prewarm");
 

@@ -103,7 +103,7 @@ void Run(BenchContext& ctx) {
               "the compensation set");
 
   Chain chain = BuildChain();
-  AggregateCacheManager cache(chain.db.get());
+  AggregateCacheManager cache(chain.db.get(), PaperCacheConfig());
 
   ResultTable table({"t_tables", "uncached_subjoins", "uncached_ms",
                      "comp_subjoins_no_pruning", "no_pruning_ms",

@@ -50,7 +50,8 @@ World Build(bool partitioned) {
   }
   // The cache manager must observe merges; create it after the split so
   // entries are built against the final layout.
-  world.cache = std::make_unique<AggregateCacheManager>(world.db.get());
+  world.cache = std::make_unique<AggregateCacheManager>(world.db.get(),
+                                                        PaperCacheConfig());
   // A modest delta so compensation has work to do.
   Rng rng(11);
   for (int i = 0; i < 500; ++i) {

@@ -30,7 +30,7 @@ void Run(BenchContext& ctx) {
   config.num_categories = 50;
   config.avg_items_per_header = 10;
   ErpDataset dataset = CheckOk(ErpDataset::Create(&db, config), "erp");
-  AggregateCacheManager cache(&db);
+  AggregateCacheManager cache(&db, PaperCacheConfig());
   AggregateQuery query = dataset.ProfitByCategoryQuery(2013);
   CheckOk(cache.Prewarm(query), "prewarm");
 

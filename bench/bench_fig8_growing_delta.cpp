@@ -31,7 +31,7 @@ void Run(BenchContext& ctx) {
   config.num_headers_main = ctx.QuickOr(kQuickHeadersMain, kHeadersMain);
   config.num_categories = 50;
   ErpDataset dataset = CheckOk(ErpDataset::Create(&db, config), "erp");
-  AggregateCacheManager cache(&db);
+  AggregateCacheManager cache(&db, PaperCacheConfig());
   AggregateQuery query = dataset.ProfitByCategoryQuery(2013);
   CheckOk(cache.Prewarm(query), "prewarm");
 

@@ -29,7 +29,7 @@ void Run(BenchContext& ctx) {
   config.avg_orderlines_per_order = 10;  // ~60K orderlines.
   ChBenchDataset dataset =
       CheckOk(ChBenchDataset::Create(&db, config), "chbench");
-  AggregateCacheManager cache(&db);
+  AggregateCacheManager cache(&db, PaperCacheConfig());
 
   ctx.report().SetConfig("warehouses",
                          static_cast<int64_t>(config.num_warehouses));

@@ -47,7 +47,7 @@ int Run(int argc, char** argv) {
   config.seed = 42;
   ErpDataset dataset =
       CheckOk(ErpDataset::Create(&db, config), "dataset creation");
-  AggregateCacheManager cache(&db);
+  AggregateCacheManager cache(&db, PaperCacheConfig());
 
   std::vector<AggregateQuery> queries;
   queries.push_back(dataset.ItemTotalsByCategoryQuery());

@@ -42,7 +42,7 @@ void Run(BenchContext& ctx) {
       static_cast<int64_t>(std::thread::hardware_concurrency()));
   ChBenchDataset dataset =
       CheckOk(ChBenchDataset::Create(&db, config), "chbench");
-  AggregateCacheManager cache(&db);
+  AggregateCacheManager cache(&db, PaperCacheConfig());
 
   const std::vector<size_t> thread_counts =
       ctx.quick() ? std::vector<size_t>{1, 2} : std::vector<size_t>{1, 2, 4, 8};

@@ -146,6 +146,15 @@ inline std::vector<StrategySpec> JoinStrategies() {
   };
 }
 
+/// The cache config the paper's figures measure: delta compensation paid
+/// in full on every hit (Section 2.3.2). The default delta memo would turn
+/// every timed rep after the warm-up into a memo hit.
+inline AggregateCacheManager::Config PaperCacheConfig() {
+  AggregateCacheManager::Config config;
+  config.incremental_delta_compensation = false;
+  return config;
+}
+
 }  // namespace bench
 }  // namespace aggcache
 

@@ -52,6 +52,7 @@ struct Flags {
   std::string replay_file;
   size_t max_entries = 64;
   bool incremental = true;
+  bool incremental_delta = true;
 };
 
 bool ParseUint(const char* text, uint64_t* out) {
@@ -68,7 +69,8 @@ int Usage(const char* argv0) {
       "usage: %s [--seeds=N | --seeds=A-B | --seed=N] [--steps=N]\n"
       "          [--check-every=N] [--faults=both|only|off] [--self-test]\n"
       "          [--crash] [--crash-dir=DIR]\n"
-      "          [--replay=FILE [--max-entries=N] [--incremental=0|1]]\n",
+      "          [--replay=FILE [--max-entries=N] [--incremental=0|1]\n"
+      "                         [--incremental-delta=0|1]]\n",
       argv0);
   return 2;
 }
@@ -122,6 +124,9 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (const char* v = value_of("--incremental=")) {
       if (!ParseUint(v, &n) || n > 1) return false;
       flags->incremental = n == 1;
+    } else if (const char* v = value_of("--incremental-delta=")) {
+      if (!ParseUint(v, &n) || n > 1) return false;
+      flags->incremental_delta = n == 1;
     } else {
       return false;
     }
@@ -139,6 +144,7 @@ int RunReplay(const Flags& flags) {
   AggregateCacheManager::Config config;
   config.max_entries = flags.max_entries;
   config.incremental_join_main_compensation = flags.incremental;
+  config.incremental_delta_compensation = flags.incremental_delta;
   AggregateCacheManager cache(&db, config);
   TraceReplayer replayer(&db, &cache);
   auto report_or = replayer.Replay(file);

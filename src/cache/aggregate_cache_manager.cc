@@ -68,9 +68,28 @@ bool QueryUsesTable(const AggregateQuery& query, const Table& table) {
   return false;
 }
 
-/// True when `snapshot` sees the creation of every main row of the bound
-/// tables — false for a reader that began before the merge that moved some
-/// of them.
+/// True when `snapshot` sees every invalidation stamped on a main row of
+/// the bound tables. Entry snapshots record each main partition's
+/// invalidation count, so a value computed at a snapshot that misses one
+/// would look clean to every later reader although it still counts the
+/// row. Atomic scopes never invalidate, so the exclusion list plays no
+/// part.
+bool SeesEveryMainInvalidation(const BoundQuery& bound,
+                               const Snapshot& snapshot) {
+  for (const Table* table : bound.tables) {
+    for (size_t g = 0; g < table->num_groups(); ++g) {
+      if (table->group(g).main.max_invalidate_tid() > snapshot.read_tid) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// True when `snapshot` sees every main row of the bound tables as all
+/// later snapshots do: it sees each row's creation — false for a reader
+/// that began before the merge that moved some of them — and each
+/// invalidation.
 bool SeesEveryMainRow(const BoundQuery& bound, const Snapshot& snapshot) {
   for (const Table* table : bound.tables) {
     for (size_t g = 0; g < table->num_groups(); ++g) {
@@ -82,7 +101,7 @@ bool SeesEveryMainRow(const BoundQuery& bound, const Snapshot& snapshot) {
       }
     }
   }
-  return true;
+  return SeesEveryMainInvalidation(bound, snapshot);
 }
 
 void AppendPerfJson(std::string* out, const PerfDelta& delta) {
@@ -343,6 +362,7 @@ Status AggregateCacheManager::RebuildEntry(CacheEntry& entry,
   EngineMetrics::Get().cache_rebuilds->Increment();
   PhaseScope phase(SpanKind::kEntryBuild, EngineMetrics::Get().cache_build_us);
   entry.main_partials().clear();
+  entry.delta_memo().Reset();
   // Cross-temperature all-main combos can be pruned logically at build time
   // (Section 5.4); tid-range pruning is sound here as well. Prune decisions
   // stay on the calling thread; pruned combos get an empty partial and only
@@ -858,11 +878,18 @@ StatusOr<AggregateResult> AggregateCacheManager::ExecuteInternal(
   JoinPruner pruner(db_, PruneLevelFor(options.strategy));
   std::vector<MdBinding> mds = ResolveMds(bound);
   CompensationStats comp_stats;
-  ASSIGN_OR_RETURN(AggregateResult delta_result,
-                   DeltaCompensate(executor_, bound, mds, pruner,
-                                   options.use_predicate_pushdown, snapshot,
-                                   &comp_stats));
-  main_result.MergeFrom(delta_result);
+  ASSIGN_OR_RETURN(
+      DeltaCompensation delta,
+      DeltaCompensate(executor_, bound, mds, pruner,
+                      options.use_predicate_pushdown, snapshot, &comp_stats,
+                      config_.incremental_delta_compensation
+                          ? &entry->delta_memo()
+                          : nullptr));
+  // A hit served from the delta memo runs no subjoin and so reaches no
+  // executor check point; the deadline and cancellation are checked here
+  // before the final merge and HAVING.
+  RETURN_IF_ERROR(ctx->Check());
+  delta.MergeInto(&main_result);
   AggregateResult result = query.ApplyHaving(std::move(main_result));
   const double delta_ms = delta_phase.EndMillis();
 
@@ -984,6 +1011,11 @@ StatusOr<const char*> AggregateCacheManager::ResolveCachedMain(
     }
     stats->entry_rebuilt = true;
     stats->main_exec_ms = entry->metrics().main_exec_ms;
+  } else if (entry->IsDirty(bound.tables) &&
+             !SeesEveryMainInvalidation(bound, snapshot)) {
+    // Compensating at this snapshot would record invalidations it cannot
+    // see as applied; leave the entry to a reader that sees them all.
+    return "snapshot-fallback";
   } else if (!stats->entry_created) {
     stats->cache_hit = true;
   }
@@ -1248,6 +1280,9 @@ void AggregateCacheManager::OnBeforeMerge(Table& table, size_t group_index,
     // Skip entries that don't reference the merging table before paying for
     // a catalog bind.
     if (!QueryUsesTable(entry->query(), table)) continue;
+    // The merge moves delta rows into main: the memo's prefixes no longer
+    // name the same rows.
+    entry->delta_memo().Reset();
     std::unique_lock<std::shared_mutex> value_lock(entry->value_mutex());
     Status bind_fault = FaultInjector::Global().MaybeFail("maintenance.bind");
     auto bound_or = bind_fault.ok() ? BoundQuery::Bind(*db_, entry->query())
@@ -1327,6 +1362,7 @@ void AggregateCacheManager::OnAfterMerge(Table& table, size_t group_index,
   (void)group_index;
   for (const std::shared_ptr<CacheEntry>& entry : SnapshotEntries()) {
     if (!QueryUsesTable(entry->query(), table)) continue;
+    entry->delta_memo().Reset();
     if (entry->needs_rebuild()) continue;  // Deferred to the next access.
     std::unique_lock<std::shared_mutex> value_lock(entry->value_mutex());
     Status bind_fault = FaultInjector::Global().MaybeFail("maintenance.bind");
@@ -1353,7 +1389,7 @@ void AggregateCacheManager::OnMergeAborted(Table& table, size_t group_index) {
   // entries, but the delta survived the abort — a cached read would now
   // double-count it. There is no cheap undo (the fold mutated the
   // partials), so every entry touching the table degrades to a rebuild on
-  // next access.
+  // next access (the rebuild mark drops the delta memo too).
   for (const std::shared_ptr<CacheEntry>& entry : SnapshotEntries()) {
     if (!QueryUsesTable(entry->query(), table)) continue;
     RecordMaintenanceFailure(

@@ -89,6 +89,11 @@ class AggregateCacheManager : public MergeObserver,
     /// implementation of the paper's Section 8 future work). When false,
     /// a dirty join entry is rebuilt from scratch instead.
     bool incremental_join_main_compensation = true;
+    /// Memoize each entry's delta compensation and, on later hits,
+    /// aggregate only the delta rows appended since (DeltaMemo; beyond the
+    /// paper, which pays the whole delta on every hit). The paper's figure
+    /// benches turn it off so they keep measuring per-hit compensation.
+    bool incremental_delta_compensation = true;
   };
 
   explicit AggregateCacheManager(Database* db)

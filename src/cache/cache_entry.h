@@ -10,6 +10,7 @@
 
 #include "cache/cache_key.h"
 #include "cache/cache_metrics.h"
+#include "cache/compensation.h"
 #include "common/bit_vector.h"
 #include "obs/flight_recorder.h"
 #include "query/aggregate_result.h"
@@ -48,10 +49,15 @@ enum class EntryState : uint8_t {
 /// caches (Section 5.4): a merge of the hot group only touches partials
 /// whose combination involves that group's main.
 ///
+/// Beside the main partials the entry keeps a delta compensation memo
+/// (DeltaMemo), so a hit aggregates only the delta rows appended since an
+/// earlier hit.
+///
 /// Concurrency: the cached value (partials + snapshots + base_tid) is
 /// guarded by value_mutex() — shared to read, exclusive to compensate or
-/// rebuild. State transitions and waiting use their own small mutex so
-/// eviction never blocks on a long-running compensation. Metrics are
+/// rebuild. The delta memo is published through its own slot, never under
+/// the value lock. State transitions and waiting use their own small mutex
+/// so eviction never blocks on a long-running compensation. Metrics are
 /// atomics. The raw accessors do not lock; callers hold the value lock.
 class CacheEntry {
  public:
@@ -119,9 +125,11 @@ class CacheEntry {
 
   /// Flags the cached value as unusable until the next rebuild — set when
   /// merge-time maintenance fails partway, instead of aborting the process.
-  /// ShapeMatches() reports false until RebuildEntry clears the mark.
+  /// ShapeMatches() reports false until RebuildEntry clears the mark. The
+  /// delta memo goes with it.
   void MarkForRebuild() {
     needs_rebuild_.store(true, std::memory_order_relaxed);
+    delta_memo_.Reset();
   }
   void ClearRebuildMark() {
     needs_rebuild_.store(false, std::memory_order_relaxed);
@@ -129,6 +137,10 @@ class CacheEntry {
   bool needs_rebuild() const {
     return needs_rebuild_.load(std::memory_order_relaxed);
   }
+
+  /// The delta compensation memo. Thread-safe on its own; merges and
+  /// rebuilds reset it.
+  DeltaMemoSlot& delta_memo() const { return delta_memo_; }
 
   /// Recomputes metrics().size_bytes from the stored partials + snapshots.
   void RefreshSizeBytes();
@@ -222,6 +234,7 @@ class CacheEntry {
   CacheEntryMetrics metrics_;
   Tid base_tid_ = 0;
 
+  mutable DeltaMemoSlot delta_memo_;
   mutable std::shared_mutex value_mu_;
   mutable std::mutex state_mu_;
   mutable std::condition_variable state_cv_;

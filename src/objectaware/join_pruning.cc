@@ -1,5 +1,7 @@
 #include "objectaware/join_pruning.h"
 
+#include <algorithm>
+
 #include "obs/engine_metrics.h"
 #include "obs/flight_recorder.h"
 
@@ -28,6 +30,38 @@ bool TidRangesDisjoint(const Partition& left, size_t left_tid_column,
   const Dictionary& ld = left.column(left_tid_column).dictionary();
   const Dictionary& rd = right.column(right_tid_column).dictionary();
   return ld.max_value() < rd.min_value() || rd.max_value() < ld.min_value();
+}
+
+void TidRange::Extend(const TidRange& other) {
+  if (other.empty()) return;
+  if (empty()) {
+    *this = other;
+    return;
+  }
+  min = std::min(min, other.min);
+  max = std::max(max, other.max);
+}
+
+TidRange TidRange::OfPartition(const Partition& partition, size_t column) {
+  if (partition.empty()) return TidRange();
+  const Dictionary& dict = partition.column(column).dictionary();
+  return TidRange{dict.min_value().AsInt64(), dict.max_value().AsInt64()};
+}
+
+TidRange TidRange::OfRows(const Partition& partition, size_t column,
+                          uint32_t begin, uint32_t end) {
+  TidRange range;
+  const Column& tids = partition.column(column);
+  for (uint32_t r = begin; r < end; ++r) {
+    int64_t tid = tids.GetInt64(r);
+    range.Extend(TidRange{tid, tid});
+  }
+  return range;
+}
+
+bool TidRangesDisjoint(const TidRange& left, const TidRange& right) {
+  return left.empty() || right.empty() || left.max < right.min ||
+         right.max < left.min;
 }
 
 PruneDecision JoinPruner::ShouldPrune(const BoundQuery& bound,

@@ -90,6 +90,27 @@ class JoinPruner {
 bool TidRangesDisjoint(const Partition& left, size_t left_tid_column,
                        const Partition& right, size_t right_tid_column);
 
+/// Closed [min, max] range of one tid column's values over a slice of a
+/// partition's rows; empty when the slice has no rows. Incremental delta
+/// compensation applies Eq. 5 to slices — a delta's memoized prefix and
+/// the rows appended since — not only to whole partitions.
+struct TidRange {
+  int64_t min = 1;
+  int64_t max = 0;
+
+  bool empty() const { return min > max; }
+  void Extend(const TidRange& other);
+
+  /// The whole partition's range, read from the column dictionary.
+  static TidRange OfPartition(const Partition& partition, size_t column);
+  /// Rows [begin, end) of `partition`, by scanning them.
+  static TidRange OfRows(const Partition& partition, size_t column,
+                         uint32_t begin, uint32_t end);
+};
+
+/// Eq. 5 on two slices: true when either is empty or they do not overlap.
+bool TidRangesDisjoint(const TidRange& left, const TidRange& right);
+
 }  // namespace aggcache
 
 #endif  // AGGCACHE_OBJECTAWARE_JOIN_PRUNING_H_

@@ -27,6 +27,8 @@ const char* VerdictToString(SubjoinTrace::Verdict verdict) {
       return "pushdown";
     case SubjoinTrace::Verdict::kPruned:
       return "pruned";
+    case SubjoinTrace::Verdict::kMemo:
+      return "memo";
   }
   return "?";
 }
@@ -77,7 +79,11 @@ std::string QueryTrace::ToText() const {
   out << "  subjoins: " << subjoins.size() << " considered = "
       << CountVerdict(SubjoinTrace::Verdict::kExecuted) << " executed + "
       << CountVerdict(SubjoinTrace::Verdict::kPushdown) << " pushdown + "
-      << CountVerdict(SubjoinTrace::Verdict::kPruned) << " pruned\n";
+      << CountVerdict(SubjoinTrace::Verdict::kPruned) << " pruned";
+  if (size_t memo = CountVerdict(SubjoinTrace::Verdict::kMemo); memo > 0) {
+    out << " + " << memo << " memo";
+  }
+  out << "\n";
   for (const SubjoinTrace& subjoin : subjoins) {
     out << "    [" << subjoin.phase << "] " << subjoin.combination << " "
         << VerdictToString(subjoin.verdict);

@@ -15,13 +15,16 @@ namespace aggcache {
 /// recorded on the orchestration thread in enumeration order — never inside
 /// pool workers — so a trace is deterministic at any thread count.
 struct SubjoinTrace {
-  /// The three-way outcome for a combination: executed as-is, executed with
-  /// MD-derived pushdown predicates (Section 5.3), or pruned (Eq. 5 and
-  /// friends). kPushdown and kExecuted both reach the executor.
-  enum class Verdict : uint8_t { kExecuted, kPushdown, kPruned };
+  /// The outcome for a combination: executed as-is, executed with
+  /// MD-derived pushdown predicates (Section 5.3), pruned (Eq. 5 and
+  /// friends), or kept but answered from the entry's delta memo. kPushdown
+  /// and kExecuted both reach the executor; a kMemo combination's rows
+  /// appended since the memo run as separate "delta-memo" events.
+  enum class Verdict : uint8_t { kExecuted, kPushdown, kPruned, kMemo };
 
   /// Which code path emitted the event: "build" (entry materialization),
-  /// "delta-compensation", "main-correction" (negative-delta correction
+  /// "delta-compensation", "delta-memo" (one slice term of a combination
+  /// the delta memo answers), "main-correction" (negative-delta correction
   /// joins), or "uncached".
   std::string phase;
   /// CombinationToString rendering, e.g. "[g0/main, g0/delta]".

@@ -87,9 +87,8 @@ StatusOr<AggregateResult> Executor::ExecuteSubjoin(
     return Status::InvalidArgument("combination arity mismatch");
   }
   // Counters accumulate locally and flush on every return path: into the
-  // caller's per-task block when given, into the mutex-guarded shared stats
-  // otherwise, and always into the global metrics registry — relaxed
-  // atomics, so the registry flush is lock-free even from pool workers.
+  // caller's block when given, and always into the global metrics registry
+  // — relaxed atomics, so the flush is lock-free even from pool workers.
   ExecutorStats counters;
   // Governance: the installed QueryContext (if any) is polled per kernel
   // block inside the selection loops, per kSelectionBlockRows iterations in
@@ -100,7 +99,6 @@ StatusOr<AggregateResult> Executor::ExecuteSubjoin(
   QueryContext* ctx = QueryContext::Current();
   size_t charged_bytes = 0;
   struct FlushOnExit {
-    const Executor* executor;
     ExecutorStats* caller;
     const ExecutorStats* local;
     QueryContext* ctx;
@@ -118,13 +116,9 @@ StatusOr<AggregateResult> Executor::ExecuteSubjoin(
       metrics.exec_code_joins->Increment(local->code_joins);
       metrics.exec_packed_groupings->Increment(local->packed_groupings);
       metrics.exec_fallback_groupings->Increment(local->fallback_groupings);
-      if (caller != nullptr) {
-        caller->MergeFrom(*local);
-      } else {
-        executor->stats_.MergeFrom(*local);
-      }
+      if (caller != nullptr) caller->MergeFrom(*local);
     }
-  } flush{this, stats, &counters, ctx, &charged_bytes};
+  } flush{stats, &counters, ctx, &charged_bytes};
   ++counters.subjoins_executed;
   if (ctx != nullptr) RETURN_IF_ERROR(ctx->Check());
   // Charges `bytes` against the query; refusals abort the query with a
@@ -194,9 +188,14 @@ StatusOr<AggregateResult> Executor::ExecuteSubjoin(
     }
 
     const std::vector<uint32_t>* candidates = nullptr;
+    RowRange range{0, static_cast<uint32_t>(p.num_rows())};
     if (restriction != nullptr && t < restriction->rows.size() &&
         restriction->rows[t].has_value()) {
       candidates = &*restriction->rows[t];
+    } else if (restriction != nullptr && t < restriction->ranges.size() &&
+               restriction->ranges[t].has_value()) {
+      range.end = std::min(range.end, restriction->ranges[t]->end);
+      range.begin = std::min(range.end, restriction->ranges[t]->begin);
     }
     SelectionInput input;
     input.snapshot = &snapshot;
@@ -211,9 +210,9 @@ StatusOr<AggregateResult> Executor::ExecuteSubjoin(
       counters.selection_batches +=
           SelectRowsGather(p, input, *candidates, &sel.rows);
     } else {
-      counters.rows_scanned += p.num_rows();
-      counters.selection_batches += SelectRowsRange(
-          p, input, 0, static_cast<uint32_t>(p.num_rows()), &sel.rows);
+      counters.rows_scanned += range.end - range.begin;
+      counters.selection_batches +=
+          SelectRowsRange(p, input, range.begin, range.end, &sel.rows);
     }
     counters.rows_selected += sel.rows.size();
   };
@@ -494,16 +493,12 @@ StatusOr<std::vector<AggregateResult>> Executor::ExecuteSubjoins(
   // Merge the per-task counters all-or-none before inspecting task status:
   // every task already flushed into the global metrics registry from its
   // worker, so skipping later tasks on a mid-fanout failure would leave the
-  // shared stats short of the registry and break reconciliation under fault
-  // injection.
-  ExecutorStats fanout;
+  // caller's total short of the registry.
   Status first_error;
   for (size_t i = 0; i < tasks.size(); ++i) {
-    fanout.MergeFrom(task_stats[i]);
+    if (total != nullptr) total->MergeFrom(task_stats[i]);
     if (first_error.ok() && !task_status[i].ok()) first_error = task_status[i];
   }
-  stats_.MergeFrom(fanout);
-  if (total != nullptr) total->MergeFrom(fanout);
   RETURN_IF_ERROR(first_error);
   return partials;
 }

@@ -1,7 +1,7 @@
 #ifndef AGGCACHE_QUERY_EXECUTOR_H_
 #define AGGCACHE_QUERY_EXECUTOR_H_
 
-#include <mutex>
+#include <optional>
 #include <vector>
 
 #include "query/aggregate_query.h"
@@ -54,8 +54,9 @@ struct BoundQuery {
                                    const AggregateQuery& query);
 };
 
-/// Counters accumulated across executor calls; benches and tests reset and
-/// read them to observe how much work each strategy performed.
+/// Work counters of executor calls; callers that want them pass a block
+/// per call (every call also feeds the metrics registry's
+/// aggcache_executor_* counters).
 struct ExecutorStats {
   uint64_t subjoins_executed = 0;
   uint64_t rows_scanned = 0;
@@ -70,10 +71,8 @@ struct ExecutorStats {
   /// Aggregations that fell back to materialized group keys (> 64 bits).
   uint64_t fallback_groupings = 0;
 
-  void Reset() { *this = ExecutorStats(); }
-
   /// Folds another stats block in; used to merge per-task counters
-  /// collected by parallel subjoin fan-outs back into the shared totals.
+  /// collected by parallel subjoin fan-outs into the caller's total.
   void MergeFrom(const ExecutorStats& other) {
     subjoins_executed += other.subjoins_executed;
     rows_scanned += other.rows_scanned;
@@ -86,41 +85,14 @@ struct ExecutorStats {
   }
 };
 
-/// The executor's shared counters: one ExecutorStats behind a mutex, so
-/// concurrent top-level executions on one Executor can all feed it. The
-/// mutex is taken once per fan-out merge (and once per solo ExecuteSubjoin
-/// without a caller stats block); readers take one coherent Snapshot().
-class SharedExecutorStats {
- public:
-  void Reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.Reset();
-  }
-
-  void MergeFrom(const ExecutorStats& other) {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.MergeFrom(other);
-  }
-
-  ExecutorStats Snapshot() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  ExecutorStats stats_;
-};
-
 /// Aggregate query executor over the main-delta columnar store: per-table
 /// selection (with dictionary-range static pruning of filters), left-deep
 /// hash joins in query-table order, and hash aggregation.
 ///
 /// Threading model: ExecuteSubjoin is const and re-entrant — concurrent
 /// calls on one instance are safe; each call's counters go to its own
-/// ExecutorStats out-parameter when given, into the mutex-guarded stats()
-/// otherwise. Every
-/// subjoin set the engine runs — uncached unions, entry builds, delta
+/// ExecutorStats out-parameter when given, and always into the metrics
+/// registry. Every subjoin set the engine runs — uncached unions, entry builds, delta
 /// compensation, main correction and the merge fold — fans out through
 /// ExecuteSubjoins, which returns partials in task order so callers merge
 /// them in enumeration order and results are deterministic at any thread
@@ -129,17 +101,27 @@ class Executor {
  public:
   explicit Executor(const Database* db) : db_(db) {}
 
-  /// Optional per-table row restriction for ExecuteSubjoin: when
-  /// `rows[t]` is set, table t's selection considers only those row ids of
-  /// its partition (visibility and filters still apply on top). Used by the
-  /// incremental main compensation of join entries, whose correction joins
-  /// restrict some tables to their invalidated ("negative delta") rows.
+  /// Half-open row-id range [begin, end) of one partition.
+  struct RowRange {
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+
+  /// Optional per-table row restriction for ExecuteSubjoin. When `rows[t]`
+  /// is set, table t's selection considers only those row ids of its
+  /// partition; when `ranges[t]` is set instead, only the rows of that
+  /// range. Visibility and filters still apply on top. The incremental
+  /// main compensation of join entries restricts some tables to their
+  /// invalidated ("negative delta") rows; incremental delta compensation
+  /// restricts deltas to their memoized prefix or to the rows appended
+  /// since.
   struct RowRestriction {
     std::vector<std::optional<std::vector<uint32_t>>> rows;
-    /// When true, restricted tables skip the per-row visibility check: the
-    /// caller vouches for the row set. Main compensation passes the rows
-    /// invalidated since the entry snapshot, which are exactly the rows a
-    /// current snapshot would hide.
+    std::vector<std::optional<RowRange>> ranges;
+    /// When true, tables restricted by `rows` skip the per-row visibility
+    /// check: the caller vouches for the row set. Main compensation passes
+    /// the rows invalidated since the entry snapshot, which are exactly the
+    /// rows a current snapshot would hide.
     bool bypass_visibility_for_restricted = false;
   };
 
@@ -147,7 +129,7 @@ class Executor {
   /// `extra_filters` carries pushed-down predicates (Section 5.3) that
   /// apply only to this subjoin; `restriction`, when non-null, limits the
   /// candidate rows per table. Work counters accumulate into `stats` when
-  /// given, otherwise into the shared stats() member.
+  /// given.
   StatusOr<AggregateResult> ExecuteSubjoin(
       const BoundQuery& bound, const SubjoinCombination& combination,
       Snapshot snapshot,
@@ -167,10 +149,10 @@ class Executor {
   /// each on a worker that carries the caller's QueryContext and a
   /// kSubjoinTask span (detail `span_detail`) under the caller's span, and
   /// adds each finished task's subjoin and rows scanned to that
-  /// QueryContext. Per-task counters merge into stats() — and into `total`
-  /// when given — all-or-none before any error check, because every task
-  /// already flushed them into the metrics registry. Returns the first failed
-  /// task's status, or one partial per task in task order.
+  /// QueryContext. Per-task counters merge into `total`, when given,
+  /// all-or-none before any error check, because every task already flushed
+  /// them into the metrics registry. Returns the first failed task's
+  /// status, or one partial per task in task order.
   StatusOr<std::vector<AggregateResult>> ExecuteSubjoins(
       const BoundQuery& bound, const std::vector<SubjoinTask>& tasks,
       Snapshot snapshot, const char* span_detail,
@@ -187,13 +169,8 @@ class Executor {
   StatusOr<AggregateResult> ExecuteUncachedBound(const BoundQuery& bound,
                                                  Snapshot snapshot) const;
 
-  SharedExecutorStats& stats() const { return stats_; }
-
  private:
   const Database* db_;
-  /// Mutable so the const, re-entrant execution paths can keep feeding the
-  /// shared counters that tests read.
-  mutable SharedExecutorStats stats_;
 };
 
 }  // namespace aggcache

@@ -1,5 +1,7 @@
 #include "storage/partition.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace aggcache {
@@ -33,8 +35,12 @@ Partition Partition::MakeMain(std::vector<Column> columns,
   Partition partition(PartitionKind::kMain, std::move(columns));
   partition.create_tids_ = std::move(create_tids);
   partition.invalidate_tids_ = std::move(invalidate_tids);
+  for (Tid t : partition.create_tids_) {
+    partition.max_create_tid_ = std::max(partition.max_create_tid_, t);
+  }
   for (Tid t : partition.invalidate_tids_) {
     if (t != kNoTid) ++partition.invalidation_count_;
+    partition.max_invalidate_tid_ = std::max(partition.max_invalidate_tid_, t);
   }
   return partition;
 }
@@ -64,6 +70,7 @@ Status Partition::AppendRow(const std::vector<Value>& values,
   }
   create_tids_.push_back(create_tid);
   invalidate_tids_.push_back(kNoTid);
+  max_create_tid_ = std::max(max_create_tid_, create_tid);
   return Status::Ok();
 }
 
@@ -73,6 +80,7 @@ void Partition::InvalidateRow(size_t row, Tid tid) {
       << "row invalidated twice";
   invalidate_tids_[row] = tid;
   ++invalidation_count_;
+  max_invalidate_tid_ = std::max(max_invalidate_tid_, tid);
 }
 
 std::vector<Value> Partition::GetRow(size_t row) const {

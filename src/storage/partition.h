@@ -64,6 +64,13 @@ class Partition {
   /// counter compares against this to detect pending main compensation).
   uint64_t invalidation_count() const { return invalidation_count_; }
 
+  /// Largest create / invalidate tid stamped on any row (kNoTid when
+  /// none). A snapshot at or past both sees every row of the partition as
+  /// it will look to all later snapshots — the O(1) test the delta
+  /// compensation memo uses before it is taken.
+  Tid max_create_tid() const { return max_create_tid_; }
+  Tid max_invalidate_tid() const { return max_invalidate_tid_; }
+
   /// Full row decoded to values.
   std::vector<Value> GetRow(size_t row) const;
 
@@ -81,6 +88,8 @@ class Partition {
   std::vector<Tid> create_tids_;
   std::vector<Tid> invalidate_tids_;
   uint64_t invalidation_count_ = 0;
+  Tid max_create_tid_ = kNoTid;
+  Tid max_invalidate_tid_ = kNoTid;
 };
 
 }  // namespace aggcache

@@ -85,6 +85,10 @@ class FuzzRun : public TraceEngineHost {
     static const size_t kMaxEntries[] = {0, 2, 8, 64};
     config_.max_entries = kMaxEntries[rng_.UniformInt(0, 3)];
     config_.incremental_join_main_compensation = rng_.Chance(0.5);
+    // Drawn from a stream of its own, so each seed still runs the workload
+    // it ran before the delta memo existed, now with the memo on or off.
+    config_.incremental_delta_compensation =
+        Rng(seed ^ 0x6d656d6fULL).Chance(0.5);
     db_ = std::make_unique<Database>();
     if (options_.with_crashes) {
       data_dir_ = StrFormat("%s/seed%llu", options_.data_dir.c_str(),
@@ -112,9 +116,10 @@ class FuzzRun : public TraceEngineHost {
     replayer_->SetEngineHost(this);
     trace_ += StrFormat(
         "# verify_fuzz seed=%llu max_entries=%zu incremental_join=%d "
-        "crashes=%d\n",
+        "incremental_delta=%d crashes=%d\n",
         static_cast<unsigned long long>(seed), config_.max_entries,
         config_.incremental_join_main_compensation ? 1 : 0,
+        config_.incremental_delta_compensation ? 1 : 0,
         options_.with_crashes ? 1 : 0);
   }
 

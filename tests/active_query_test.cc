@@ -168,7 +168,10 @@ TEST_F(ActiveQueryTest, CancelAfterCompletionIsFalse) {
 
 TEST_F(ActiveQueryTest, ConcurrentQueriesGetDistinctSlots) {
   // Park queries briefly so several overlap; every one must get its own id
-  // and every slot must be released afterwards.
+  // and every slot must be released afterwards. Each hit compensates the
+  // whole delta, so every one reaches the parking point.
+  cache_ = std::make_unique<AggregateCacheManager>(
+      &db_, testing_util::PerHitCompensationConfig());
   {
     Transaction warm = db_.Begin();
     ASSERT_TRUE(cache_->Execute(query_, warm).ok());

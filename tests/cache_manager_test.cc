@@ -72,6 +72,8 @@ TEST_F(CacheManagerTest, CachedEqualsUncachedWithDeltaRows) {
 }
 
 TEST_F(CacheManagerTest, FullPruningSkipsSubjoins) {
+  cache_ = std::make_unique<AggregateCacheManager>(
+      &db_, testing_util::PerHitCompensationConfig());
   Transaction warm = db_.Begin();
   ASSERT_TRUE(cache_->Execute(query_, warm).ok());
   ASSERT_OK(testing_util::InsertBusinessObject(&db_, header_, item_, 20,
@@ -388,6 +390,8 @@ TEST_F(CacheManagerTest, SubjoinCountIgnoresConcurrentQueries) {
   // A query counts only the subjoins of its own fan-outs: an uncached query
   // that runs while a hit is parked in delta compensation must not leak its
   // subjoins into the hit's count.
+  cache_ = std::make_unique<AggregateCacheManager>(
+      &db_, testing_util::PerHitCompensationConfig());
   Transaction warm = db_.Begin();
   ASSERT_TRUE(cache_->Execute(query_, warm).ok());
   ASSERT_OK(testing_util::InsertBusinessObject(&db_, header_, item_, 11,
@@ -423,6 +427,255 @@ TEST_F(CacheManagerTest, SubjoinCountIgnoresConcurrentQueries) {
   ASSERT_TRUE(hit_still_parked);
   ASSERT_TRUE(cache_->last_exec_stats().cache_hit);
   EXPECT_EQ(cache_->last_exec_stats().subjoins_executed, serial_subjoins);
+}
+
+TEST_F(CacheManagerTest, StaleReaderDoesNotAbsorbAnInvalidationItCannotSee) {
+  AggregateQuery single = QueryBuilder()
+                              .From("Item")
+                              .GroupBy("Item", "HeaderID")
+                              .Sum("Item", "Amount", "total")
+                              .CountStar("n")
+                              .Build();
+  Transaction warm = db_.Begin();
+  ASSERT_TRUE(cache_->Execute(single, warm).ok());
+  // The reader's snapshot predates the update; the entry is dirty when it
+  // arrives. Compensating at its snapshot would record the update as
+  // applied while the old row version still counts for later readers.
+  Transaction stale = db_.Begin();
+  Transaction writer = db_.Begin();
+  ASSERT_OK(item_->UpdateColumnByPk(writer, Value(int64_t{1}), "Amount",
+                                    Value(99.0)));
+  QueryTrace trace;
+  auto stale_result =
+      cache_->ExecuteTraced(single, stale, ExecutionOptions(), &trace);
+  EXPECT_EQ(trace.cache_outcome, "snapshot-fallback");
+  ExecutionOptions uncached;
+  uncached.strategy = ExecutionStrategy::kUncached;
+  auto stale_expected = cache_->Execute(single, stale, uncached);
+  ASSERT_TRUE(stale_result.ok() && stale_expected.ok());
+  std::string diff;
+  EXPECT_TRUE(stale_result->ApproxEquals(*stale_expected, 1e-9, &diff))
+      << diff;
+  ExpectAllStrategiesAgree(&db_, cache_.get(), single);
+}
+
+// --- Delta compensation memo ------------------------------------------------
+
+class DeltaMemoTest : public CacheManagerTest {
+ protected:
+  const CacheEntry& Entry() const { return *cache_->Find(query_); }
+
+  std::shared_ptr<const DeltaMemo> Memo() const {
+    return Entry().delta_memo().Load();
+  }
+
+  /// Runs the query cached under `txn`, expects a hit that agrees with
+  /// kUncached at the same snapshot, and returns the delta rows the hit's
+  /// compensation scanned.
+  uint64_t ScannedByHit(const Transaction& txn) {
+    const uint64_t before =
+        Entry().metrics().delta_rows_scanned.load(std::memory_order_relaxed);
+    auto cached = cache_->Execute(query_, txn);
+    EXPECT_TRUE(cached.ok()) << cached.status();
+    EXPECT_TRUE(cache_->last_exec_stats().cache_hit);
+    ExpectMatchesUncached(cached, txn);
+    return Entry().metrics().delta_rows_scanned.load(
+               std::memory_order_relaxed) -
+           before;
+  }
+
+  void ExpectMatchesUncached(const StatusOr<AggregateResult>& cached,
+                             const Transaction& txn) {
+    ExecutionOptions uncached;
+    uncached.strategy = ExecutionStrategy::kUncached;
+    auto expected = cache_->Execute(query_, txn, uncached);
+    ASSERT_TRUE(cached.ok() && expected.ok());
+    std::string diff;
+    EXPECT_TRUE(cached->ApproxEquals(*expected, 1e-9, &diff)) << diff;
+  }
+
+  void Warm() {
+    Transaction warm = db_.Begin();
+    ASSERT_TRUE(cache_->Execute(query_, warm).ok());
+  }
+
+  void InsertObject(int64_t header_id, int items) {
+    ASSERT_OK(testing_util::InsertBusinessObject(
+        &db_, header_, item_, header_id, 2014, items, 5.0, &next_item_id_));
+  }
+};
+
+TEST_F(DeltaMemoTest, HitWithoutNewRowsScansNoDeltaRows) {
+  Warm();
+  ASSERT_NE(Memo(), nullptr) << "the miss's full pass takes the memo";
+  InsertObject(11, 2);
+  EXPECT_EQ(ScannedByHit(db_.Begin()), 3u);  // The new header + 2 items.
+  const DeltaMemo* advanced = Memo().get();
+  Transaction txn = db_.Begin();
+  EXPECT_EQ(ScannedByHit(txn), 0u);
+  // An unchanged hit republishes nothing and runs no subjoin.
+  EXPECT_EQ(Memo().get(), advanced);
+  ASSERT_TRUE(cache_->Execute(query_, txn).ok());
+  EXPECT_EQ(cache_->last_exec_stats().subjoins_executed, 0u);
+}
+
+TEST_F(DeltaMemoTest, HitAfterOneBusinessObjectScansOnlyTheSuffix) {
+  Warm();
+  for (int64_t h = 11; h <= 13; ++h) InsertObject(h, 2);
+  EXPECT_EQ(ScannedByHit(db_.Begin()), 9u);
+  InsertObject(14, 3);
+  // Eq. 5 on slices prunes new-header x old-items and old-headers x
+  // new-items: only the object's own 4 rows are read.
+  EXPECT_EQ(ScannedByHit(db_.Begin()), 4u);
+}
+
+TEST_F(DeltaMemoTest, MergeResetsTheMemo) {
+  Warm();
+  InsertObject(11, 2);
+  ScannedByHit(db_.Begin());
+  ASSERT_NE(Memo(), nullptr);
+  ASSERT_OK(db_.MergeTables({"Header", "Item"}));
+  EXPECT_EQ(Memo(), nullptr);
+  InsertObject(12, 2);
+  EXPECT_EQ(ScannedByHit(db_.Begin()), 3u);
+  EXPECT_EQ(ScannedByHit(db_.Begin()), 0u);
+}
+
+TEST_F(DeltaMemoTest, MainRowUpdateForcesAFullPass) {
+  Warm();
+  InsertObject(11, 2);
+  InsertObject(12, 2);
+  ScannedByHit(db_.Begin());
+  EXPECT_EQ(ScannedByHit(db_.Begin()), 0u);
+  // A price update of a main item invalidates a main row and appends a
+  // late item to the Item delta.
+  Transaction writer = db_.Begin();
+  ASSERT_OK(item_->UpdateColumnByPk(writer, Value(int64_t{1}), "Amount",
+                                    Value(99.0)));
+  // Full pass: every header and item delta row is read again.
+  EXPECT_GE(ScannedByHit(db_.Begin()), 2u + 5u);
+  EXPECT_EQ(ScannedByHit(db_.Begin()), 0u);
+}
+
+TEST_F(DeltaMemoTest, DeltaRowDeleteForcesAFullPass) {
+  Warm();
+  const int64_t first_new_item = next_item_id_;
+  InsertObject(11, 2);
+  InsertObject(12, 2);
+  ScannedByHit(db_.Begin());
+  EXPECT_EQ(ScannedByHit(db_.Begin()), 0u);
+  Transaction writer = db_.Begin();
+  ASSERT_OK(item_->DeleteByPk(writer, Value(first_new_item)));
+  EXPECT_EQ(ScannedByHit(db_.Begin()), 2u + 4u);
+  EXPECT_EQ(ScannedByHit(db_.Begin()), 0u);
+}
+
+TEST_F(DeltaMemoTest, ReaderOlderThanTheMemoDoesAFullPass) {
+  Warm();
+  InsertObject(11, 2);
+  ScannedByHit(db_.Begin());
+  Transaction old_reader = db_.Begin();
+  InsertObject(12, 2);
+  Transaction newer = db_.Begin();
+  EXPECT_EQ(ScannedByHit(newer), 3u);
+  const Tid memo_tid = Memo()->read_tid;
+  ASSERT_LT(old_reader.snapshot().read_tid, memo_tid);
+  // The old snapshot must not see object 12: the memo covers it, so the
+  // old reader compensates the whole delta itself.
+  EXPECT_EQ(ScannedByHit(old_reader), 2u + 4u);
+  EXPECT_EQ(Memo()->read_tid, memo_tid);
+
+  // A settled reader older than the memo does not replace it either: it
+  // sees every row, because an older transaction wrote them.
+  Transaction writer = db_.Begin();
+  Transaction settled_old = db_.Begin();
+  ASSERT_OK(header_->Insert(writer, {Value(int64_t{13}), Value(int64_t{2014})}));
+  ASSERT_OK(item_->Insert(
+      writer, {Value(next_item_id_++), Value(int64_t{13}), Value(1.0)}));
+  Transaction after = db_.Begin();
+  EXPECT_EQ(ScannedByHit(after), 2u);
+  EXPECT_EQ(ScannedByHit(settled_old), 3u + 5u);
+  EXPECT_EQ(Memo()->read_tid, after.snapshot().read_tid);
+}
+
+TEST_F(DeltaMemoTest, AtomicScopeInFlightPreventsTheMemo) {
+  {
+    ScopedTransaction scope = db_.BeginAtomic();
+    ASSERT_OK(header_->Insert(scope, {Value(int64_t{11}), Value(int64_t{2014})}));
+    ASSERT_OK(item_->Insert(
+        scope, {Value(next_item_id_++), Value(int64_t{11}), Value(3.0)}));
+    // This reader excludes the scope: its pass may not become the memo.
+    Transaction reader = db_.Begin();
+    auto cached = cache_->Execute(query_, reader);
+    ExpectMatchesUncached(cached, reader);
+    EXPECT_EQ(Memo(), nullptr);
+    // Full pass again; the invisible header ends the join before Item.
+    EXPECT_EQ(ScannedByHit(reader), 1u);
+    EXPECT_EQ(Memo(), nullptr);
+  }
+  // The scope ended: the next reader sees it whole and takes the memo.
+  EXPECT_EQ(ScannedByHit(db_.Begin()), 2u);
+  ASSERT_NE(Memo(), nullptr);
+  EXPECT_EQ(ScannedByHit(db_.Begin()), 0u);
+}
+
+TEST_F(DeltaMemoTest, ReaderThatMissesRowsDoesNotTakeTheMemo) {
+  Warm();
+  // The reader's snapshot predates a row already in the delta; a memo
+  // taken from its pass would hide that row from every later reader.
+  Transaction old_reader = db_.Begin();
+  InsertObject(11, 2);
+  const Tid memo_tid = Memo()->read_tid;
+  // The invisible header ends the join before Item.
+  EXPECT_EQ(ScannedByHit(old_reader), 1u);
+  EXPECT_EQ(Memo()->read_tid, memo_tid);
+  EXPECT_EQ(ScannedByHit(db_.Begin()), 3u);
+  EXPECT_EQ(ScannedByHit(db_.Begin()), 0u);
+}
+
+TEST_F(DeltaMemoTest, HotColdSplitResetsTheMemo) {
+  Warm();
+  ASSERT_NE(Memo(), nullptr);
+  ASSERT_EQ(Memo()->parts[0].size(), 1u);
+  ASSERT_OK(header_->SplitHotCold("FiscalYear", Value(int64_t{2014})));
+  // The split changes the entry's shape: the read rebuilds it, which drops
+  // the old memo, and its full pass takes one over both header groups.
+  Transaction txn = db_.Begin();
+  auto rebuilt = cache_->Execute(query_, txn);
+  EXPECT_TRUE(cache_->last_exec_stats().entry_rebuilt);
+  ExpectMatchesUncached(rebuilt, txn);
+  ASSERT_NE(Memo(), nullptr);
+  EXPECT_EQ(Memo()->parts[0].size(), 2u);
+  InsertObject(11, 2);
+  EXPECT_EQ(ScannedByHit(db_.Begin()), 3u);
+  EXPECT_EQ(ScannedByHit(db_.Begin()), 0u);
+}
+
+TEST_F(DeltaMemoTest, MemoHitHonorsCancellationAndDeadline) {
+  Warm();
+  InsertObject(11, 2);
+  ScannedByHit(db_.Begin());
+  {
+    // A memo hit runs no subjoin, so only the check before the final merge
+    // can see the abort.
+    QueryContext ctx;
+    ctx.Cancel();
+    ScopedQueryContext scope(&ctx);
+    auto result = cache_->Execute(query_, db_.Begin());
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+        << result.status();
+  }
+  {
+    QueryContext::Options options;
+    options.deadline_ms = 1;
+    QueryContext ctx(options);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ScopedQueryContext scope(&ctx);
+    auto result = cache_->Execute(query_, db_.Begin());
+    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+        << result.status();
+  }
+  EXPECT_EQ(ScannedByHit(db_.Begin()), 0u);
 }
 
 TEST_F(CacheManagerTest, ReaderOlderThanEntryFallsBackUncached) {

@@ -117,7 +117,7 @@ TEST_F(ChBenchTest, Q1AveragesAreConsistent) {
 }
 
 TEST_F(ChBenchTest, FullPruningSkipsMostSubjoins) {
-  AggregateCacheManager cache(&db_);
+  AggregateCacheManager cache(&db_, testing_util::PerHitCompensationConfig());
   Transaction txn = db_.Begin();
   AggregateQuery q5 = dataset_->Q5();
   ExecutionOptions full;

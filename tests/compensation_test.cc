@@ -51,7 +51,7 @@ TEST_F(CompensationTest, DeltaCompensationCompletesTheCachedResult) {
   ASSERT_TRUE(delta.ok());
 
   AggregateResult combined = *cached;
-  combined.MergeFrom(*delta);
+  delta->MergeInto(&combined);
   auto uncached = executor.ExecuteUncached(query, Now());
   ASSERT_TRUE(uncached.ok());
   std::string diff;
@@ -84,7 +84,7 @@ TEST_F(CompensationTest, PushdownDoesNotChangeDeltaCompensation) {
                                 Now(), nullptr);
   ASSERT_TRUE(plain.ok() && pushed.ok());
   std::string diff;
-  EXPECT_TRUE(plain->ApproxEquals(*pushed, 1e-9, &diff)) << diff;
+  EXPECT_TRUE(plain->fresh.ApproxEquals(pushed->fresh, 1e-9, &diff)) << diff;
 }
 
 TEST_F(CompensationTest, RowsContributionMatchesFilters) {

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -90,6 +91,70 @@ TEST_F(ConcurrentStressTest, ConcurrentMissesMaterializeOnce) {
   EXPECT_EQ(cache.num_entries(), 1u);
   // Single-flight: one creator built the entry, the other seven waited.
   EXPECT_EQ(FaultInjector::Global().stats("cache.build").hits, 1u);
+}
+
+TEST_F(ConcurrentStressTest, MemoHitsAtDifferentSnapshotsAgree) {
+  // Readers hit one entry at fresh and at stale snapshots while a writer
+  // appends business objects (atomic scopes, so some readers exclude them),
+  // updates main items and deletes delta items: every pass either builds
+  // on the entry's delta memo, falls back to a full pass, or republishes
+  // the memo, and all of them must agree with uncached execution.
+  AggregateCacheManager cache(&db_);
+  std::atomic<int> mismatches{0};
+  std::atomic<bool> stop{false};
+  // A plain transaction's writes become visible statement by statement,
+  // also to snapshots taken after its Begin. Readers take their snapshots
+  // outside the writer's Begin-to-write window, so each snapshot's
+  // contents are fixed and two executions under it must agree.
+  std::shared_mutex begin_mu;
+  auto check = [&](const Transaction& txn) {
+    ExecutionOptions uncached;
+    uncached.strategy = ExecutionStrategy::kUncached;
+    auto baseline = cache.Execute(query_, txn, uncached);
+    auto result = cache.Execute(query_, txn);
+    if (!baseline.ok() || !result.ok() ||
+        !result->ApproxEquals(*baseline, 1e-9)) {
+      mismatches.fetch_add(1);
+    }
+  };
+  constexpr int kReaders = 4;
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      auto begin = [&] {
+        std::shared_lock<std::shared_mutex> lock(begin_mu);
+        return db_.Begin();
+      };
+      Transaction stale = begin();
+      for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        Transaction fresh = begin();
+        check(fresh);
+        check(stale);
+        if (i % 4 == 3) stale = fresh;
+      }
+    });
+  }
+  int64_t next_header = 200;
+  for (int round = 0; round < 40; ++round) {
+    ASSERT_OK(testing_util::InsertBusinessObject(
+        &db_, header_, item_, next_header++, 2012 + round % 3, 2,
+        1.0 + round, &next_item_id_));
+    {
+      std::unique_lock<std::shared_mutex> lock(begin_mu);
+      Transaction writer = db_.Begin();
+      if (round % 7 == 3) {
+        ASSERT_OK(item_->UpdateColumnByPk(writer, Value(int64_t{1 + round}),
+                                          "Amount", Value(0.5 * round)));
+      }
+      if (round % 9 == 5) {
+        ASSERT_OK(item_->DeleteByPk(writer, Value(next_item_id_ - 1)));
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  stop.store(true);
+  for (std::thread& thread : readers) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST_F(ConcurrentStressTest, ReadersAgreeWithUncachedDuringMerges) {

@@ -1,6 +1,7 @@
 #include "query/executor.h"
 
 #include "gtest/gtest.h"
+#include "obs/engine_metrics.h"
 #include "tests/test_util.h"
 
 namespace aggcache {
@@ -239,15 +240,19 @@ TEST_F(ExecutorTest, FilterOpsAgreeAcrossMainAndDelta) {
 }
 
 TEST_F(ExecutorTest, StatsCountWork) {
+  // The registry's executor counters carry every call's work.
+  const EngineMetrics& metrics = EngineMetrics::Get();
+  const uint64_t subjoins = metrics.exec_subjoins->Value();
+  const uint64_t rows_scanned = metrics.exec_rows_scanned->Value();
+  const uint64_t tuples_joined = metrics.exec_tuples_joined->Value();
   Executor executor(&db_);
-  executor.stats().Reset();
   auto result =
       executor.ExecuteUncached(testing_util::HeaderItemQuery(), Now());
   ASSERT_TRUE(result.ok());
-  ExecutorStats snapshot = executor.stats().Snapshot();
-  EXPECT_EQ(snapshot.subjoins_executed, 4u);
-  EXPECT_GT(snapshot.rows_scanned, 0u);
-  EXPECT_EQ(snapshot.tuples_joined, 12u);  // All items join.
+  EXPECT_EQ(metrics.exec_subjoins->Value() - subjoins, 4u);
+  EXPECT_GT(metrics.exec_rows_scanned->Value() - rows_scanned, 0u);
+  // All items join.
+  EXPECT_EQ(metrics.exec_tuples_joined->Value() - tuples_joined, 12u);
 }
 
 TEST_F(ExecutorTest, CombinationArityMismatchRejected) {

@@ -266,7 +266,8 @@ class ExplainTraceTest : public ::testing::Test {
   }
 
   Database db_;
-  AggregateCacheManager cache_{&db_};
+  AggregateCacheManager cache_{&db_,
+                              testing_util::PerHitCompensationConfig()};
   Table* header_ = nullptr;
   Table* item_ = nullptr;
   Table* sub_ = nullptr;
@@ -374,6 +375,46 @@ TEST_F(ExplainTraceTest, WarmHitTracesCompensationOnly) {
   }
   EXPECT_NE(text.find("tid=["), std::string::npos);
   EXPECT_NE(text.find("cache: hit"), std::string::npos);
+}
+
+TEST_F(ExplainTraceTest, DeltaMemoHitTracesMemoVerdictsAndReconciles) {
+  // The fixture's cache pays per-hit compensation; this one keeps the
+  // delta memo on, so the hit after a new object answers most of each kept
+  // combination from the memo and runs only slice terms.
+  AggregateCacheManager memo_cache(&db_);
+  ExecutionOptions options;
+  Transaction warm = db_.Begin();
+  ASSERT_TRUE(memo_cache.Execute(ThreeTableQuery(), warm, options).ok());
+  ASSERT_OK(InsertObject(5, 2014, /*items=*/2, /*subs=*/1));
+
+  CounterSnapshot before = CounterSnapshot::Take();
+  QueryTrace trace;
+  Transaction txn = db_.Begin();
+  auto result =
+      memo_cache.ExecuteTraced(ThreeTableQuery(), txn, options, &trace);
+  ASSERT_TRUE(result.ok()) << result.status();
+  CounterSnapshot after = CounterSnapshot::Take();
+
+  EXPECT_EQ(trace.cache_outcome, "hit");
+  EXPECT_GE(trace.CountVerdict(SubjoinTrace::Verdict::kMemo), 1u);
+  size_t terms = 0;
+  for (const SubjoinTrace& subjoin : trace.subjoins) {
+    if (subjoin.phase != "delta-memo") continue;
+    ++terms;
+    EXPECT_EQ(subjoin.verdict, SubjoinTrace::Verdict::kExecuted);
+    EXPECT_NE(subjoin.combination.find(" rows "), std::string::npos)
+        << subjoin.combination;
+  }
+  EXPECT_GE(terms, 1u);
+  ExpectTraceReconciles(trace, before, after);
+  EXPECT_NE(trace.ToText().find(" memo\n"), std::string::npos);
+
+  ExecutionOptions uncached;
+  uncached.strategy = ExecutionStrategy::kUncached;
+  auto baseline = memo_cache.Execute(ThreeTableQuery(), txn, uncached);
+  ASSERT_TRUE(baseline.ok());
+  std::string diff;
+  EXPECT_TRUE(result->ApproxEquals(*baseline, 1e-9, &diff)) << diff;
 }
 
 TEST_F(ExplainTraceTest, PushdownVerdictsCarryFilters) {

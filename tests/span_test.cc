@@ -24,6 +24,7 @@ namespace {
 using testing_util::CreateHeaderItemTables;
 using testing_util::HeaderItemQuery;
 using testing_util::InsertBusinessObject;
+using testing_util::PerHitCompensationConfig;
 
 SpanRecorder::Options SmallOptions(size_t spans_per_segment,
                                    size_t max_segments) {
@@ -380,7 +381,7 @@ class SpanTreeTest : public ::testing::Test {
 };
 
 TEST_F(SpanTreeTest, QueryTreeReconcilesWithQueryTrace) {
-  AggregateCacheManager cache(&db_);
+  AggregateCacheManager cache(&db_, PerHitCompensationConfig());
   ScopedGlobalSpans enable;
 
   // Warm the entry (records a build-flavored tree), then trace a hit.

@@ -117,6 +117,16 @@ inline void ExpectAllStrategiesAgree(Database* db,
   }
 }
 
+/// A cache config that pays delta compensation on every hit, as the paper
+/// does: for tests whose premise is what each hit compensates (subjoin
+/// counts, verdicts, fan-out spans), which the delta memo would otherwise
+/// answer without a subjoin.
+inline AggregateCacheManager::Config PerHitCompensationConfig() {
+  AggregateCacheManager::Config config;
+  config.incremental_delta_compensation = false;
+  return config;
+}
+
 }  // namespace testing_util
 }  // namespace aggcache
 

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/engine_metrics.h"
 #include "query/executor.h"
 #include "query/predicate.h"
 #include "storage/database.h"
@@ -512,15 +513,19 @@ TEST(VectorExecutorTest, BatchedPipelineCountersAdvance) {
     ASSERT_OK(InsertBusinessObject(&db, header, item, h, 2013, 3, 1.0,
                                    &next_item));
   }
+  const EngineMetrics& metrics = EngineMetrics::Get();
+  const uint64_t batches = metrics.exec_selection_batches->Value();
+  const uint64_t code_joins = metrics.exec_code_joins->Value();
+  const uint64_t packed = metrics.exec_packed_groupings->Value();
+  const uint64_t fallback = metrics.exec_fallback_groupings->Value();
   Executor executor(&db);
   auto result = executor.ExecuteUncached(
       testing_util::HeaderItemQuery(), db.txn_manager().GlobalSnapshot());
   ASSERT_TRUE(result.ok()) << result.status();
-  ExecutorStats stats = executor.stats().Snapshot();
-  EXPECT_GT(stats.selection_batches, 0u);
-  EXPECT_GT(stats.code_joins, 0u);
-  EXPECT_GT(stats.packed_groupings, 0u);
-  EXPECT_EQ(stats.fallback_groupings, 0u);
+  EXPECT_GT(metrics.exec_selection_batches->Value() - batches, 0u);
+  EXPECT_GT(metrics.exec_code_joins->Value() - code_joins, 0u);
+  EXPECT_GT(metrics.exec_packed_groupings->Value() - packed, 0u);
+  EXPECT_EQ(metrics.exec_fallback_groupings->Value() - fallback, 0u);
 }
 
 }  // namespace

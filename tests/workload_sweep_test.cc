@@ -43,7 +43,7 @@ TEST_P(ErpSweepTest, InvariantsHoldAtEveryScale) {
   EXPECT_TRUE(*md);
 
   // The profit query agrees across strategies after fresh inserts.
-  AggregateCacheManager cache(&db);
+  AggregateCacheManager cache(&db, testing_util::PerHitCompensationConfig());
   Rng rng(headers);
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(dataset.InsertBusinessObject(rng).ok());
